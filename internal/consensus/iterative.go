@@ -176,15 +176,6 @@ func safeGammaCentroid(s *vec.Set, f int) (vec.V, bool) {
 // honest cluster) — a minimax polish on F(x) = max hull distance, whose
 // Wolfe-based evaluations are accurate at the local scale.
 func projectIntoIntersection(pt vec.V, fam []*vec.Set) vec.V {
-	worstOf := func(x vec.V) float64 {
-		w := 0.0
-		for _, s := range fam {
-			if d, _ := geom.Dist2(x, s); d > w {
-				w = d
-			}
-		}
-		return w
-	}
 	tol := 1e-11 * (1 + pt.NormP(math.Inf(1)))
 	for sweep := 0; sweep < 12; sweep++ {
 		moved := false
@@ -197,16 +188,18 @@ func projectIntoIntersection(pt vec.V, fam []*vec.Set) vec.V {
 		if !moved {
 			return pt
 		}
-		if worstOf(pt) <= tol {
+		if minimax.MaxDist2(pt, fam) <= tol {
 			return pt
 		}
 	}
-	if worstOf(pt) <= tol {
+	worst := minimax.MaxDist2(pt, fam)
+	if worst <= tol {
 		return pt
 	}
-	// Sliver regime: polish with the generic minimax solver seeded here.
+	// Sliver regime: polish with the cutting-plane minimax solver seeded
+	// here.
 	res := minimax.MinMaxDist2(fam, pt)
-	if res.Delta < worstOf(pt) {
+	if res.Delta < worst {
 		return res.Point
 	}
 	return pt

@@ -43,6 +43,11 @@ const filterAcceptTol = PrefilterMargin
 // residual, two orders of magnitude above the threshold.
 const filterRejectMargin = 1e-5
 
+// screenBudget is the Wolfe major-cycle budget of a screen in dimension
+// d: a screen that needs more cycles is near the boundary, where the
+// exact LP decides anyway.
+func screenBudget(d int) int { return 2*d + 12 }
+
 // sepMaxPoints caps the Minkowski-difference size of the hull
 // separation screen; larger pairs skip the screen rather than risk a
 // screen costlier than the LP it guards.
@@ -72,10 +77,11 @@ var (
 	sepFallbacks    = metrics.DefaultCounter("geom_filter_separation_fallbacks_total")
 )
 
-// FilterScratch holds the reusable buffers of one screen evaluation:
-// the flattened working point set, the Wolfe corral state and the KKT
-// system of the corral projection. A scratch must not be shared between
-// concurrent goroutines; the kernel sweeps keep one per worker.
+// FilterScratch holds the reusable buffers of one Wolfe run (a screen
+// evaluation or an L2 distance query): the flattened working point set,
+// the Wolfe corral state and the KKT system of the corral projection. A
+// scratch must not be shared between concurrent goroutines; the kernel
+// sweeps keep one per worker.
 type FilterScratch struct {
 	pts    []float64 // flattened n x d working points
 	x      []float64 // current min-norm iterate
@@ -110,12 +116,13 @@ func growI(s []int, n int) []int {
 // wolfeMinNorm runs Wolfe's min-norm-point algorithm over the n points
 // of dimension d flattened in sc.pts, leaving the final iterate in
 // sc.x and the corral weights in (sc.corral, sc.lam). It is the
-// allocation-free twin of MinNormPoint with a tighter optimality gap
-// (the screens need residuals near machine precision, not 1e-9
-// relative) and a hard major-cycle budget; on budget exhaustion the
-// iterate is simply the best found, and the caller's exact certificate
-// checks decide whether it is usable.
-func (sc *FilterScratch) wolfeMinNorm(n, d int) {
+// package's one Wolfe solver: allocation-free once the scratch has
+// grown, with an optimality gap near machine precision (the screens
+// need residuals there) and a hard major-cycle budget. The screens pass
+// a short budget, distance queries distBudget; on budget exhaustion the
+// iterate is simply the best found, and every caller reads an explicit
+// convex combination from the corral, never a claimed optimum.
+func (sc *FilterScratch) wolfeMinNorm(n, d, budget int) {
 	pt := func(i int) []float64 { return sc.pts[i*d : (i+1)*d] }
 	sc.x = growF(sc.x, d)
 
@@ -140,7 +147,6 @@ func (sc *FilterScratch) wolfeMinNorm(n, d int) {
 	sc.lam = append(sc.lam[:0], 1)
 	copy(sc.x, pt(best))
 
-	budget := 2*d + 12
 	for major := 0; major < budget; major++ {
 		// Most violating vertex: minimize <x, p_j>.
 		j, jv := -1, math.Inf(1)
@@ -268,8 +274,10 @@ func (sc *FilterScratch) affineMinNorm(d int) bool {
 	g[k*cols+kk] = 1
 
 	if !gaussSolve(g, kk, cols) {
-		// Ridge fallback for affinely dependent corrals, as in
-		// affineMinNorm of wolfe.go.
+		// Ridge fallback for affinely dependent corrals: a tiny Tikhonov
+		// term on the Gram block makes the system solvable and biases the
+		// answer toward the minimum-norm multiplier, which is what Wolfe's
+		// method wants anyway.
 		for i := 0; i < k; i++ {
 			pi := pt(i)
 			for j := i; j < k; j++ {
@@ -371,7 +379,7 @@ func hullMembershipScreen(q vec.V, s *vec.Set, sc *FilterScratch) (in, decided b
 			feasScale = a
 		}
 	}
-	sc.wolfeMinNorm(n, d)
+	sc.wolfeMinNorm(n, d, screenBudget(d))
 
 	// Accept certificate: exact residual of the corral witness.
 	wsum := 0.0
@@ -462,7 +470,7 @@ func HullsSeparated(a, b *vec.Set, delta, p float64, sc *FilterScratch) bool {
 			}
 		}
 	}
-	sc.wolfeMinNorm(na*nb, d)
+	sc.wolfeMinNorm(na*nb, d, screenBudget(d))
 	gn := 0.0
 	for _, v := range sc.x {
 		gn += v * v

@@ -263,6 +263,24 @@ func TestMinNormPointWeights(t *testing.T) {
 	}
 }
 
+// The scratch-taking distance query serves the δ* solvers' inner loops:
+// once the scratch has grown it must not allocate, and it must agree
+// with the allocating wrapper bit for bit.
+func TestScratchDist2ZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	s := vec.NewSet(randVec(rng, 3, 2), randVec(rng, 3, 2), randVec(rng, 3, 2), randVec(rng, 3, 2))
+	q := randVec(rng, 3, 4)
+	sc := new(FilterScratch)
+	near := vec.New(3)
+	d := sc.Dist2(q, s, near)
+	if allocs := testing.AllocsPerRun(100, func() { sc.Dist2(q, s, near) }); allocs != 0 {
+		t.Errorf("FilterScratch.Dist2 allocates %v times per call", allocs)
+	}
+	if dw, nw := Dist2Uncached(q, s); dw != d || !nw.Equal(near) {
+		t.Errorf("wrapper (%v, %v) differs from scratch (%v, %v)", dw, nw, d, near)
+	}
+}
+
 func TestMinNormPointContainingOrigin(t *testing.T) {
 	pts := []vec.V{vec.Of(1, 0), vec.Of(-1, 1), vec.Of(-1, -1)}
 	x, _ := MinNormPoint(pts)

@@ -3,40 +3,76 @@ package geom
 import (
 	"math"
 
-	"relaxedbvc/internal/linalg"
 	"relaxedbvc/internal/vec"
 )
 
+// The L2 point-to-hull distance and the min-norm point are thin
+// wrappers over the one Wolfe solver in filter.go (wolfeMinNorm), run
+// with the distance budget below instead of the screens' short one.
+// Both report the norm of an explicit hull point — a convex combination
+// of the input points with the corral weights — so a distance is never
+// below the true one by more than float rounding.
+
+// distBudget is the Wolfe major-cycle budget of a distance query over n
+// points: enough for finite termination on every non-degenerate input.
+func distBudget(n int) int { return 200 + 20*n }
+
 // Dist2 returns the Euclidean distance from q to conv(s) and the nearest
 // point of the hull (memoized), computed with Wolfe's min-norm-point
-// algorithm applied to the translated set {s_i - q}. Wolfe's method
-// terminates finitely in exact arithmetic; we add iteration caps and
-// tolerances for floating point.
+// algorithm applied to the translated set {s_i - q}.
 func Dist2(q vec.V, s *vec.Set) (float64, vec.V) {
 	if s.Len() == 0 {
 		panic("geom: Dist2 on empty set")
 	}
-	return cachedDist(opDist2, q, s, 0, func() (float64, vec.V) { return dist2Wolfe(q, s) })
+	return cachedDist(opDist2, q, s, 0, func() (float64, vec.V) { return dist2Pooled(q, s) })
 }
 
 // Dist2Uncached is Dist2 bypassing the memo cache. Iterative solvers
 // whose inner loops query a fresh point every step (so keys never
-// repeat) should use it: caching those lookups costs key encoding and
-// table growth without ever producing a hit.
+// repeat) should use it, or FilterScratch.Dist2 to avoid allocating.
 func Dist2Uncached(q vec.V, s *vec.Set) (float64, vec.V) {
 	if s.Len() == 0 {
 		panic("geom: Dist2 on empty set")
 	}
-	return dist2Wolfe(q, s)
+	return dist2Pooled(q, s)
 }
 
-func dist2Wolfe(q vec.V, s *vec.Set) (float64, vec.V) {
-	pts := make([]vec.V, s.Len())
-	for i := range pts {
-		pts[i] = s.At(i).Sub(q)
+func dist2Pooled(q vec.V, s *vec.Set) (float64, vec.V) {
+	sc := GetFilterScratch()
+	defer sc.Release()
+	near := vec.New(q.Dim())
+	return sc.Dist2(q, s, near), near
+}
+
+// Dist2 returns the Euclidean distance from q to conv(s) and writes the
+// nearest hull point into near (length q.Dim()). Once the scratch has
+// grown to the set's size it allocates nothing, which is what the δ*
+// solvers' inner loops need. s must be non-empty.
+func (sc *FilterScratch) Dist2(q vec.V, s *vec.Set, near vec.V) float64 {
+	n, d := s.Len(), q.Dim()
+	sc.pts = growF(sc.pts, n*d)
+	for i := 0; i < n; i++ {
+		p := s.At(i)
+		row := sc.pts[i*d : (i+1)*d]
+		for j := range row {
+			row[j] = p[j] - q[j]
+		}
 	}
-	x, _ := MinNormPoint(pts)
-	return x.Norm2(), x.Add(q)
+	sc.wolfeMinNorm(n, d, distBudget(n))
+	sum := 0.0
+	for _, l := range sc.lam {
+		sum += l
+	}
+	clear(near)
+	for i, c := range sc.corral {
+		near.AXPY(sc.lam[i]/sum, s.At(c))
+	}
+	dist := 0.0
+	for j, v := range near {
+		r := q[j] - v
+		dist += r * r
+	}
+	return math.Sqrt(dist)
 }
 
 // MinNormPoint returns the point of minimum Euclidean norm in the convex
@@ -47,161 +83,23 @@ func MinNormPoint(pts []vec.V) (vec.V, []float64) {
 	if n == 0 {
 		panic("geom: MinNormPoint on empty set")
 	}
-	// Scale-aware tolerance.
-	scale := 1.0
-	for _, p := range pts {
-		if v := p.Norm2(); v > scale {
-			scale = v
-		}
+	d := pts[0].Dim()
+	sc := GetFilterScratch()
+	defer sc.Release()
+	sc.pts = growF(sc.pts, n*d)
+	for i, p := range pts {
+		copy(sc.pts[i*d:(i+1)*d], p)
 	}
-	tol := 1e-12 * scale * scale
-
-	// Start from the point of smallest norm.
-	best := 0
-	for i := 1; i < n; i++ {
-		if pts[i].Norm2() < pts[best].Norm2() {
-			best = i
-		}
-	}
-	corral := []int{best}
-	lam := []float64{1}
-	x := pts[best].Clone()
-
-	inCorral := func(j int) bool {
-		for _, c := range corral {
-			if c == j {
-				return true
-			}
-		}
-		return false
-	}
-
-	for major := 0; major < 200+20*n; major++ {
-		// Most violating vertex: minimize <x, p_j>.
-		j, jv := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if v := x.Dot(pts[i]); v < jv {
-				j, jv = i, v
-			}
-		}
-		xx := x.Dot(x)
-		if jv > xx-1e-9*scale*scale-tol {
-			break // optimality: no vertex improves
-		}
-		if inCorral(j) {
-			break // numerical stall; x is as good as we can certify
-		}
-		corral = append(corral, j)
-		lam = append(lam, 0)
-
-		// Minor cycle: project onto the affine hull of the corral; walk
-		// back and drop vertices until the affine minimizer is convex.
-		for minor := 0; minor <= n+2; minor++ {
-			alpha, ok := affineMinNorm(pts, corral)
-			if !ok {
-				// Degenerate Gram system: drop the most recently added
-				// vertex and stop the minor cycle.
-				corral = corral[:len(corral)-1]
-				lam = lam[:len(lam)-1]
-				break
-			}
-			posEps := 1e-11
-			allPos := true
-			for _, a := range alpha {
-				if a <= posEps {
-					allPos = false
-					break
-				}
-			}
-			if allPos {
-				lam = alpha
-				break
-			}
-			// Line search from lam toward alpha to the first vanishing weight.
-			theta := 1.0
-			for i := range alpha {
-				if alpha[i] < posEps && lam[i] > alpha[i] {
-					if t := lam[i] / (lam[i] - alpha[i]); t < theta {
-						theta = t
-					}
-				}
-			}
-			newLam := make([]float64, len(lam))
-			for i := range lam {
-				newLam[i] = (1-theta)*lam[i] + theta*alpha[i]
-			}
-			// Drop zeroed vertices.
-			var nc []int
-			var nl []float64
-			for i := range newLam {
-				if newLam[i] > posEps {
-					nc = append(nc, corral[i])
-					nl = append(nl, newLam[i])
-				}
-			}
-			if len(nc) == 0 {
-				// Everything vanished numerically; keep the best single point.
-				nc = []int{corral[0]}
-				nl = []float64{1}
-			}
-			corral, lam = nc, nl
-		}
-		// Recompute x from the corral weights.
-		x = vec.New(pts[0].Dim())
-		for i, c := range corral {
-			x.AXPY(lam[i], pts[c])
-		}
-	}
-
-	weights := make([]float64, n)
-	// Normalize the corral weights onto the full index set.
+	sc.wolfeMinNorm(n, d, distBudget(n))
 	sum := 0.0
-	for _, l := range lam {
+	for _, l := range sc.lam {
 		sum += l
 	}
-	for i, c := range corral {
-		weights[c] = lam[i] / sum
+	x := vec.New(d)
+	weights := make([]float64, n)
+	for i, c := range sc.corral {
+		weights[c] = sc.lam[i] / sum
+		x.AXPY(weights[c], pts[c])
 	}
 	return x, weights
-}
-
-// affineMinNorm solves min ||sum alpha_i p_{c_i}||^2 s.t. sum alpha = 1
-// with alpha free, via the KKT system over the Gram matrix. ok=false when
-// the system is numerically singular (affinely dependent corral).
-func affineMinNorm(pts []vec.V, corral []int) ([]float64, bool) {
-	k := len(corral)
-	kk := k + 1
-	m := linalg.NewMatrix(kk, kk)
-	for i := 0; i < k; i++ {
-		for j := i; j < k; j++ {
-			g := pts[corral[i]].Dot(pts[corral[j]])
-			m.Set(i, j, g)
-			m.Set(j, i, g)
-		}
-		m.Set(i, k, 1)
-		m.Set(k, i, 1)
-	}
-	rhs := make(vec.V, kk)
-	rhs[k] = 1
-	sol, err := linalg.Solve(m, rhs)
-	if err != nil {
-		// Ridge fallback for affinely dependent corrals: a tiny Tikhonov
-		// term on the Gram block makes the system solvable and biases the
-		// answer toward the minimum-norm multiplier, which is what Wolfe's
-		// method wants anyway.
-		scale := 1.0
-		for i := 0; i < k; i++ {
-			if g := m.At(i, i); g > scale {
-				scale = g
-			}
-		}
-		for i := 0; i < k; i++ {
-			m.Set(i, i, m.At(i, i)+1e-10*scale)
-		}
-		sol, err = linalg.Solve(m, rhs)
-		if err != nil {
-			return nil, false
-		}
-	}
-	return sol[:k], true
 }

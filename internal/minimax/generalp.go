@@ -10,8 +10,8 @@ import (
 )
 
 // MaxDistP evaluates F(x) = max over the family of dist_p(x, H(set)).
-// Like MaxDist2, it bypasses the geometry memo cache: solver iterates
-// are unique, so caching them costs encoding without ever hitting.
+// It bypasses the geometry memo cache: solver iterates are unique, so
+// caching them costs encoding without ever hitting.
 // Large families run on the kernel workers (exact float max is
 // order-independent, so the result is bit-identical either way).
 func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
@@ -30,7 +30,9 @@ func MaxDistP(x vec.V, sets []*vec.Set, p float64) float64 {
 	return m
 }
 
-// familyDistsPInto is familyDistsInto for a general Lp norm.
+// familyDistsPInto evaluates dist_p(x, H(sets_i)) for every i, on the
+// kernel workers when the family is large enough, reusing dst's backing
+// storage when it is large enough. Results are index-ordered.
 func familyDistsPInto(dst []distHit, x vec.V, sets []*vec.Set, p float64, workers int) []distHit {
 	if workers > 1 && len(sets) >= minParallelFamily {
 		return par.MapInto(dst, len(sets), workers, func(i int) distHit {
@@ -74,7 +76,8 @@ func DeltaStarP(s *vec.Set, f int, p float64) Result {
 }
 
 // minMaxDistP minimizes F(x) = max_i dist_p(x, H(sets_i)) by subgradient
-// descent plus Nelder-Mead polish, mirroring MinMaxDist2 for general p.
+// descent plus Nelder-Mead polish. It proves no lower bound, so its
+// Result has Lower 0 and Gap = Delta.
 func minMaxDistP(sets []*vec.Set, p float64, seedPoints ...vec.V) Result {
 	if len(sets) == 0 {
 		panic("minimax: empty family")
@@ -101,7 +104,7 @@ func minMaxDistP(sets []*vec.Set, p float64, seedPoints ...vec.V) Result {
 	if f < bestF {
 		bestX, bestF = x, f
 	}
-	return Result{Delta: bestF, Point: bestX}
+	return Result{Delta: bestF, Point: bestX, Gap: bestF}
 }
 
 // subgradientDescentP follows the Lp analogue of the L2 subgradient: at
@@ -175,8 +178,7 @@ func lpGradient(r vec.V, p float64) vec.V {
 	return g
 }
 
-// nelderMeadOn is the generic Nelder-Mead used by the Lp solver (the L2
-// path keeps its specialized twin for allocation reasons).
+// nelderMeadOn is the Nelder-Mead polish of the general-p solver.
 func nelderMeadOn(f func(vec.V) float64, x0 vec.V, spread float64) (vec.V, float64) {
 	d := x0.Dim()
 	type vert struct {

@@ -9,27 +9,28 @@
 //   - the exact closed form of Lemma 13 (inscribed-sphere radius) for the
 //     f = 1, n = d+1, affinely independent case, together with the
 //     Theorem 8 projection shortcut (delta* = 0) for dependent inputs; and
-//   - a generic iterative solver (subgradient descent with a Nelder-Mead
-//     polish) valid for every n, f.
+//   - a certified cutting-plane solver (Kelley's method over the lp
+//     package) valid for every n, f, which returns an upper bound attained
+//     at its point together with a proven lower bound.
 //
-// The iterative solver is cross-validated against the closed form (E7)
-// and against the exact LP values of delta*_1 and delta*_inf, which
+// The cutting-plane solver is cross-validated against the closed form
+// (E7) and against the exact LP values of delta*_1 and delta*_inf, which
 // bracket delta*_2.
 package minimax
 
 import (
 	"math"
-	"sort"
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/linalg"
+	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/par"
 	"relaxedbvc/internal/simplexgeo"
 	"relaxedbvc/internal/vec"
 )
 
 // minParallelFamily is the smallest subset family for which the δ*
-// probes fan the per-set hull-distance solves out over the kernel
+// solvers fan the per-set hull-distance solves out over the kernel
 // workers; below it the hand-off costs more than the solves. Every
 // parallel path reduces in index order with the same comparisons as the
 // sequential loop, so results are bit-identical for any worker count.
@@ -41,243 +42,330 @@ type distHit struct {
 	near vec.V
 }
 
-// familyDistsInto evaluates dist_2(x, H(sets_i)) for every i, on the
-// kernel workers when the family is large enough, writing into dst's
-// backing storage when it is large enough. Results are index-ordered.
-// The descent loops call this hundreds of times per solve; reusing one
-// buffer keeps those iterations allocation-free.
-func familyDistsInto(dst []distHit, x vec.V, sets []*vec.Set, workers int) []distHit {
-	if workers > 1 && len(sets) >= minParallelFamily {
-		return par.MapInto(dst, len(sets), workers, func(i int) distHit {
-			d, near := geom.Dist2Uncached(x, sets[i])
-			return distHit{d: d, near: near}
-		})
-	}
-	if cap(dst) < len(sets) {
-		dst = make([]distHit, len(sets))
-	}
-	dst = dst[:len(sets)]
-	for i, s := range sets {
-		d, near := geom.Dist2Uncached(x, s)
-		dst[i] = distHit{d: d, near: near}
-	}
-	return dst
-}
-
-// Result is the outcome of a delta* computation.
+// Result is the outcome of a delta* computation. The true delta* lies
+// in [Lower, Delta].
 type Result struct {
-	Delta float64 // the minimax value delta*_2
-	Point vec.V   // an attaining (or near-attaining) point p0
+	Delta float64 // the minimax value delta*: an upper bound, attained at Point
+	Point vec.V   // a point attaining Delta
+	Lower float64 // a proven lower bound on delta* (0 when the solver has none)
+	Gap   float64 // Delta - Lower, honest even when a solver stopped at its cap
 	Exact bool    // true when computed by closed form rather than iteration
 }
 
 // MaxDist2 evaluates F(x) = max over the family of dist_2(x, H(set)).
 // It bypasses the geometry memo cache: every solver iterate is a fresh
 // x, so those lookups would only ever pay encoding cost, never hit.
-// (The solvers' end results are memoized one level up, in this
-// package's own cache.)
 func MaxDist2(x vec.V, sets []*vec.Set) float64 {
-	if workers := par.KernelWorkers(); workers > 1 && len(sets) >= minParallelFamily {
-		// Exact float max is order-independent, so the parallel
-		// reduction is bit-identical to the sequential scan.
-		return par.MaxFloat(len(sets), workers, func(i int) float64 {
-			d, _ := geom.Dist2Uncached(x, sets[i])
-			return d
-		})
-	}
+	sc := geom.GetFilterScratch()
+	defer sc.Release()
+	near := vec.New(x.Dim())
 	m := 0.0
 	for _, s := range sets {
-		if d, _ := geom.Dist2Uncached(x, s); d > m {
+		if d := sc.Dist2(x, s, near); d > m {
 			m = d
 		}
 	}
 	return m
 }
 
+// Cutting-plane solver constants, all on the normalized (unit-diameter)
+// family.
+const (
+	// cutGapTol stops the solver once the upper and lower bounds are
+	// this close.
+	cutGapTol = 1e-8
+	// cutSlackTol prunes, after each LP, every cut slacker than this at
+	// the LP optimum, except the newest round. Without pruning the dense
+	// LP can keep returning the same far iterate under hundreds of
+	// near-parallel cuts.
+	cutSlackTol = 1e-6
+	// cutMinDist skips the cut of a piece that already (numerically)
+	// contains the iterate: its direction would be rounding noise.
+	cutMinDist = 1e-12
+	// maxCutRounds caps the LP rounds of one solve.
+	maxCutRounds = 200
+)
+
 // MinMaxDist2 minimizes F(x) = max_i dist_2(x, H(sets_i)) over x in R^d
-// by subgradient descent from several warm starts followed by a
-// Nelder-Mead polish. The returned value is an upper bound on the true
-// minimax value, typically accurate to ~1e-6 relative at the scales used
-// in this library.
+// by Kelley's cutting-plane method, starting from the centroid of the
+// family's distinct points and the optional seed points. Every piece
+// evaluated at an iterate x contributes the support-function cut
+//
+//	t >= g.y - max_{p in sets_i} g.p,  g = (x - near_i)/|x - near_i|,
+//
+// a global minorant of dist_2(y, H(sets_i)) for any unit g, however
+// inexact the Wolfe solve that produced near_i. An LP over the cuts,
+// restricted to the inputs' bounding box (which holds an optimum:
+// projecting onto conv of all inputs brings x closer to every hull),
+// gives the next iterate and a proven lower bound. The solver stops
+// when the bounds are within cutGapTol of the unit diameter, or after
+// maxCutRounds LPs; Result.Gap reports the remaining gap either way.
 func MinMaxDist2(sets []*vec.Set, seedPoints ...vec.V) Result {
+	res, _ := minMaxDist2(sets, maxCutRounds, seedPoints)
+	return res
+}
+
+// minMaxDist2 is MinMaxDist2 with an explicit round cap; it also
+// returns the number of LP rounds run.
+func minMaxDist2(sets []*vec.Set, maxRounds int, seeds []vec.V) (Result, int) {
 	if len(sets) == 0 {
 		panic("minimax: empty family")
 	}
-	d := sets[0].Dim()
-
-	// Warm starts: global centroid, a deterministic sample of per-set
-	// centroids (capped so the cost does not scale with the family size),
-	// and caller seeds.
-	var starts []vec.V
-	var all []vec.V
-	for _, s := range sets {
-		all = append(all, s.Points()...)
-	}
-	starts = append(starts, vec.Mean(all))
-	const maxSetStarts = 4
-	stride := 1
-	if len(sets) > maxSetStarts {
-		stride = len(sets) / maxSetStarts
-	}
-	for i := 0; i < len(sets); i += stride {
-		starts = append(starts, vec.Mean(sets[i].Points()))
-		if len(starts) > maxSetStarts {
-			break
-		}
-	}
-	starts = append(starts, seedPoints...)
-
-	bestX := starts[0].Clone()
-	bestF := MaxDist2(bestX, sets)
-	scale := vec.NewSet(all...).MaxEdge(2)
-	if scale == 0 {
+	cp := newCutPlane(sets)
+	if cp.diam == 0 {
 		// All inputs identical: that point achieves delta = 0.
-		return Result{Delta: 0, Point: all[0].Clone()}
+		return Result{Point: sets[0].At(0).Clone()}, 0
 	}
-
-	// The warm starts are independent descents; run them on the kernel
-	// workers and reduce in start order — the same comparisons, in the
-	// same order, as the sequential loop.
-	type descent struct {
-		x vec.V
-		f float64
+	defer cp.release()
+	cp.eval(vec.New(cp.d))
+	for _, s := range seeds {
+		y := s.Sub(cp.center)
+		cp.eval(y.Scale(1 / cp.diam))
 	}
-	results := par.Map(len(starts), par.KernelWorkers(), func(i int) descent {
-		x, f := subgradientDescent(starts[i], sets, scale)
-		return descent{x: x, f: f}
-	})
-	for _, r := range results {
-		if r.f < bestF {
-			bestX, bestF = r.x, r.f
-		}
-	}
-	x, f := nelderMead(bestX, sets, scale*0.05)
-	if f < bestF {
-		bestX, bestF = x, f
-	}
-	// Second, tighter polish around the refined point.
-	x, f = nelderMead(bestX, sets, scale*0.002)
-	if f < bestF {
-		bestX, bestF = x, f
-	}
-	_ = d
-	return Result{Delta: bestF, Point: bestX}
-}
-
-func subgradientDescent(x0 vec.V, sets []*vec.Set, scale float64) (vec.V, float64) {
-	x := x0.Clone()
-	bestX := x.Clone()
-	bestF := MaxDist2(x, sets)
-	step := scale / 4
-	workers := par.KernelWorkers()
-	var hits []distHit
-	const iters = 600
-	for k := 0; k < iters; k++ {
-		// Subgradient of the max: gradient of the farthest hull distance.
-		// The per-set probes run on the kernel workers; the first
-		// strictly-greater distance wins the index-ordered reduction,
-		// exactly as in the sequential scan.
-		var g vec.V
-		maxD := -1.0
-		hits = familyDistsInto(hits, x, sets, workers)
-		for _, h := range hits {
-			if h.d > maxD {
-				maxD = h.d
-				if h.d > 1e-14 {
-					g = x.Sub(h.near).Scale(1 / h.d)
-				} else {
-					g = vec.New(x.Dim())
-				}
-			}
-		}
-		if maxD < bestF {
-			bestF = maxD
-			bestX = x.Clone()
-		}
-		if maxD < 1e-12 {
-			return x, 0
-		}
-		if g.Norm2() < 1e-14 {
+	rounds := 0
+	for ; rounds < maxRounds && cp.ub-cp.lb > cutGapTol; rounds++ {
+		y, ok := cp.solveLP()
+		if !ok || y.Equal(cp.last) {
+			// An LP failure or a repeated iterate: further rounds would
+			// only repeat this one.
 			break
 		}
-		x = x.Sub(g.Scale(step))
-		step *= 0.988 // geometric decay reaches ~7e-4 of scale at the end
+		cp.eval(y)
 	}
-	if f := MaxDist2(x, sets); f < bestF {
-		return x, f
-	}
-	return bestX, bestF
+	return cp.result(), rounds
 }
 
-// nelderMead runs a standard Nelder-Mead simplex search on F starting
-// from x0 with the given initial spread.
-func nelderMead(x0 vec.V, sets []*vec.Set, spread float64) (vec.V, float64) {
-	d := x0.Dim()
-	type vert struct {
-		x vec.V
-		f float64
-	}
-	simplex := make([]vert, d+1)
-	simplex[0] = vert{x0.Clone(), MaxDist2(x0, sets)}
-	for i := 1; i <= d; i++ {
-		x := x0.Clone()
-		x[i-1] += spread
-		simplex[i] = vert{x, MaxDist2(x, sets)}
-	}
-	const (
-		alpha = 1.0
-		gamma = 2.0
-		rho   = 0.5
-		sigma = 0.5
-	)
-	evals := 0
-	maxEvals := 300 * (d + 1)
-	eval := func(x vec.V) float64 { evals++; return MaxDist2(x, sets) }
-	for evals < maxEvals {
-		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
-		if simplex[d].f-simplex[0].f < 1e-12*(1+simplex[0].f) {
-			break
-		}
-		// Centroid of all but worst.
-		c := vec.New(d)
-		for i := 0; i < d; i++ {
-			c.AddInPlace(simplex[i].x)
-		}
-		c = c.Scale(1 / float64(d))
-		worst := simplex[d]
-		refl := c.Add(c.Sub(worst.x).Scale(alpha))
-		fr := eval(refl)
-		switch {
-		case fr < simplex[0].f:
-			exp := c.Add(c.Sub(worst.x).Scale(gamma))
-			if fe := eval(exp); fe < fr {
-				simplex[d] = vert{exp, fe}
-			} else {
-				simplex[d] = vert{refl, fr}
+// cutPlane is the state of one cutting-plane solve over a family
+// translated by its centroid and scaled to unit diameter.
+type cutPlane struct {
+	sets       []*vec.Set // the normalized family
+	d          int
+	center     vec.V
+	diam       float64
+	lo, hi     vec.V // bounding box of the normalized points
+	ub, lb     float64
+	best, last vec.V // the iterate attaining ub; the last one evaluated
+	dist       []float64
+	near       []float64 // per-piece nearest hull points, d apiece
+	g          []float64 // cut directions, d apiece
+	h          []float64 // cut offsets: the pieces' support values at g
+	round      []int     // the evaluation round that added each cut
+	ref, row   []float64 // LP reference point and row buffer
+	rounds     int
+	prob       *lp.Problem
+	obj        []float64
+	workers    int
+	scs        []*geom.FilterScratch // one per worker
+}
+
+// newCutPlane normalizes the family: the centroid of its distinct
+// points moves to the origin and their diameter becomes 1, so every
+// tolerance of the solver, the Wolfe calls and the LP applies to
+// unit-scale data.
+func newCutPlane(sets []*vec.Set) *cutPlane {
+	d := sets[0].Dim()
+	var uniq []vec.V
+	var ref []int // index into uniq of each family point, in order
+	for _, s := range sets {
+		for _, p := range s.Points() {
+			u := 0
+			for u < len(uniq) && !uniq[u].Equal(p) {
+				u++
 			}
-		case fr < simplex[d-1].f:
-			simplex[d] = vert{refl, fr}
-		default:
-			con := c.Add(worst.x.Sub(c).Scale(rho))
-			if fc := eval(con); fc < worst.f {
-				simplex[d] = vert{con, fc}
-			} else {
-				for i := 1; i <= d; i++ {
-					simplex[i].x = vec.Lerp(simplex[0].x, simplex[i].x, sigma)
-					simplex[i].f = eval(simplex[i].x)
-				}
+			if u == len(uniq) {
+				uniq = append(uniq, p)
 			}
+			ref = append(ref, u)
 		}
 	}
-	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
-	return simplex[0].x, simplex[0].f
+	cp := &cutPlane{d: d, center: vec.Mean(uniq), diam: vec.NewSet(uniq...).MaxEdge(2)}
+	if cp.diam == 0 {
+		return cp
+	}
+	cp.lo, cp.hi = vec.New(d), vec.New(d)
+	norm := make([]vec.V, len(uniq))
+	for u, p := range uniq {
+		y := p.Sub(cp.center).Scale(1 / cp.diam)
+		for j, v := range y {
+			if u == 0 || v < cp.lo[j] {
+				cp.lo[j] = v
+			}
+			if u == 0 || v > cp.hi[j] {
+				cp.hi[j] = v
+			}
+		}
+		norm[u] = y
+	}
+	k := 0
+	cp.sets = make([]*vec.Set, len(sets))
+	for i, s := range sets {
+		pts := make([]vec.V, s.Len())
+		for j := range pts {
+			pts[j] = norm[ref[k]]
+			k++
+		}
+		cp.sets[i] = vec.NewSet(pts...)
+	}
+	m := len(sets)
+	cp.ub, cp.lb = math.Inf(1), 0
+	cp.best, cp.last = vec.New(d), vec.New(d)
+	cp.dist = make([]float64, m)
+	cp.near = make([]float64, m*d)
+	cp.prob = lp.NewProblem(d + 1)
+	cp.obj = make([]float64, d+1)
+	cp.obj[d] = 1
+	cp.ref, cp.row = make([]float64, d), make([]float64, d+1)
+	cp.workers = 1
+	if w := par.KernelWorkers(); w > 1 && m >= minParallelFamily {
+		cp.workers = w
+	}
+	cp.scs = make([]*geom.FilterScratch, cp.workers)
+	for w := range cp.scs {
+		cp.scs[w] = geom.GetFilterScratch()
+	}
+	return cp
+}
+
+func (cp *cutPlane) release() {
+	for _, sc := range cp.scs {
+		sc.Release()
+	}
+}
+
+// eval evaluates every piece at y (on the kernel workers for large
+// families, each piece writing only its own slots), updates the upper
+// bound and appends one cut per piece, in index order.
+func (cp *cutPlane) eval(y vec.V) {
+	d := cp.d
+	probe := func(w, i int) {
+		cp.dist[i] = cp.scs[w].Dist2(y, cp.sets[i], cp.near[i*d:(i+1)*d])
+	}
+	if cp.workers > 1 {
+		par.ForEachW(len(cp.sets), cp.workers, probe)
+	} else {
+		for i := range cp.sets {
+			probe(0, i)
+		}
+	}
+	cp.rounds++
+	copy(cp.last, y)
+	f := 0.0
+	for i, di := range cp.dist {
+		f = math.Max(f, di)
+		if di <= cutMinDist {
+			continue
+		}
+		near := cp.near[i*d : (i+1)*d]
+		cp.g = append(cp.g, make([]float64, d)...)
+		g := vec.V(cp.g[len(cp.g)-d:])
+		for j := range g {
+			g[j] = y[j] - near[j]
+		}
+		gn := g.Norm2()
+		for j := range g {
+			g[j] /= gn
+		}
+		h := math.Inf(-1)
+		for _, p := range cp.sets[i].Points() {
+			h = math.Max(h, g.Dot(p))
+		}
+		cp.h = append(cp.h, h)
+		cp.round = append(cp.round, cp.rounds)
+	}
+	if f < cp.ub {
+		cp.ub = f
+		copy(cp.best, y)
+	}
+}
+
+// solveLP minimizes t over the cuts t >= g.y - h within the bounding
+// box, raises the lower bound to the LP value, prunes the slack cuts of
+// older rounds and returns the LP's y as the next iterate. ok=false when
+// the LP did not solve to optimality.
+//
+// The LP is stated around a reference point r in the box, with free
+// variables u = y - r and s = T - t, where T is the cut model's value at
+// r. Every row then has a non-negative right-hand side, so the slack
+// basis is feasible and the simplex needs no phase-1 artificials: those
+// would let the solution violate a cut by up to the LP's feasibility
+// tolerance and stall the bounds well above cutGapTol.
+func (cp *cutPlane) solveLP() (vec.V, bool) {
+	d := cp.d
+	r := cp.ref
+	for j := range r {
+		r[j] = math.Min(math.Max(cp.best[j], cp.lo[j]), cp.hi[j])
+	}
+	top := 0.0 // T: the model's value at r (t >= 0 is a valid cut too)
+	for k := range cp.h {
+		top = math.Max(top, cp.cutAt(k, r))
+	}
+	p := cp.prob
+	p.Reset(d + 1)
+	for j := 0; j <= d; j++ {
+		p.SetFree(j)
+	}
+	p.SetObjective(cp.obj, lp.Maximize)
+	row := cp.row
+	for k := range cp.h {
+		copy(row, cp.g[k*d:(k+1)*d])
+		row[d] = 1
+		p.AddConstraint(row, lp.LE, math.Max(0, top-cp.cutAt(k, r)))
+	}
+	clear(row)
+	for j := 0; j < d; j++ {
+		row[j] = 1
+		p.AddConstraint(row, lp.LE, cp.hi[j]-r[j])
+		row[j] = -1
+		p.AddConstraint(row, lp.LE, r[j]-cp.lo[j])
+		row[j] = 0
+	}
+	row[d] = 1
+	p.AddConstraint(row, lp.LE, top)
+	res, err := p.Solve()
+	if err != nil || res.Status != lp.Optimal {
+		return nil, false
+	}
+	y := vec.V(res.X[:d])
+	for j := range y {
+		y[j] += r[j]
+	}
+	t := top - res.X[d]
+	cp.lb = math.Max(cp.lb, t)
+	keep := 0
+	for k, h := range cp.h {
+		if cp.round[k] != cp.rounds && t-cp.cutAt(k, y) > cutSlackTol {
+			continue
+		}
+		copy(cp.g[keep*d:(keep+1)*d], cp.g[k*d:(k+1)*d])
+		cp.h[keep], cp.round[keep] = h, cp.round[k]
+		keep++
+	}
+	cp.g, cp.h, cp.round = cp.g[:keep*d], cp.h[:keep], cp.round[:keep]
+	return y, true
+}
+
+// cutAt is the value g_k.y - h_k of cut k at y.
+func (cp *cutPlane) cutAt(k int, y vec.V) float64 {
+	return vec.V(cp.g[k*cp.d:(k+1)*cp.d]).Dot(y) - cp.h[k]
+}
+
+// result maps the bounds and the best iterate back to input coordinates.
+func (cp *cutPlane) result() Result {
+	gap := cp.diam * (cp.ub - math.Min(cp.lb, cp.ub))
+	delta := cp.diam * cp.ub
+	return Result{
+		Delta: delta,
+		Point: cp.center.Add(cp.best.Scale(cp.diam)),
+		Lower: delta - gap,
+		Gap:   gap,
+	}
 }
 
 // DeltaStar2 computes delta*_2(S) for the Gamma family of Algorithm ALGO:
 // the (|S|-f)-subsets of S. When f = 1 and |S| = d+1 it uses the closed
 // forms of Lemma 13 (inradius of the input simplex) and Theorem 8
 // (delta* = 0 for affinely dependent inputs); otherwise it falls back to
-// the iterative minimax solver seeded with those insights.
+// the cutting-plane solver, whose Result carries a certified interval.
 func DeltaStar2(s *vec.Set, f int) Result {
 	if f < 1 || f >= s.Len() {
 		panic("minimax: DeltaStar2 requires 1 <= f < |S|")
@@ -288,7 +376,8 @@ func DeltaStar2(s *vec.Set, f int) Result {
 func deltaStar2(s *vec.Set, f int) Result {
 	if f == 1 && s.Len() == s.Dim()+1 {
 		if sx, err := simplexgeo.New(s.Points()); err == nil {
-			return Result{Delta: sx.Inradius(), Point: sx.Incenter(), Exact: true}
+			r := sx.Inradius()
+			return Result{Delta: r, Point: sx.Incenter(), Lower: r, Exact: true}
 		}
 		// Affinely dependent: Theorem 8 gives delta* = 0; a witness point
 		// lies in Gamma(S), which is non-empty after the distance-
@@ -300,7 +389,7 @@ func deltaStar2(s *vec.Set, f int) Result {
 	return DeltaStar2Iterative(s, f)
 }
 
-// DeltaStar2Iterative always uses the generic minimax solver (useful for
+// DeltaStar2Iterative always uses the cutting-plane solver (useful for
 // ablation against the closed forms).
 func DeltaStar2Iterative(s *vec.Set, f int) Result {
 	return cachedDeltaStar(opDeltaIter, s, f, func() Result { return deltaStar2Iterative(s, f) })
@@ -331,7 +420,7 @@ func degenerateGammaPoint(s *vec.Set, f int) (vec.V, bool) {
 	ps := vec.NewSet(proj...)
 	fam := droppedSubsets(ps, f)
 	res := MinMaxDist2(fam)
-	if res.Delta > 1e-7 {
+	if res.Delta > 1e-7*ps.MaxEdge(2) {
 		return nil, false
 	}
 	return sp.Lift(res.Point), true

@@ -93,6 +93,9 @@ func TestDeltaStar2SimplexClosedForm(t *testing.T) {
 		if math.Abs(res.Delta-sx.Inradius()) > 1e-12 {
 			t.Fatalf("delta = %v, inradius = %v", res.Delta, sx.Inradius())
 		}
+		if res.Lower != res.Delta || res.Gap != 0 {
+			t.Fatalf("closed form: lower = %v, gap = %v, want %v and 0", res.Lower, res.Gap, res.Delta)
+		}
 	}
 }
 
@@ -115,17 +118,25 @@ func TestDeltaStar2IterativeMatchesInradius(t *testing.T) {
 	}
 }
 
-// delta*_inf <= delta*_2 <= delta*_1 (pointwise distance ordering).
+// delta*_inf <= delta*_2 <= delta*_1 (pointwise distance ordering),
+// for the closed form (f = 1 simplices) and for the certified interval
+// [Lower, Delta] of the cutting-plane solver (f = 2, n = 7, d = 3)
+// against the exact LP values.
 func TestDeltaStar2BracketedByPolyNorms(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 6; trial++ {
-		d := 2 + rng.Intn(2)
-		s := randSimplexSet(rng, d)
-		d2 := DeltaStar2(s, 1).Delta
-		dInf, _ := relax.DeltaStarPoly(s, 1, math.Inf(1))
-		d1, _ := relax.DeltaStarPoly(s, 1, 1)
-		if dInf > d2+1e-6 || d2 > d1+1e-6 {
-			t.Fatalf("bracket violated: inf=%v 2=%v 1=%v", dInf, d2, d1)
+	for trial := 0; trial < 12; trial++ {
+		var s *vec.Set
+		f := 1
+		if trial%2 == 0 {
+			s = randSimplexSet(rng, 2+rng.Intn(2))
+		} else {
+			s, f = randSet(rng, 7, 3), 2
+		}
+		res := DeltaStar2(s, f)
+		dInf, _ := relax.DeltaStarPoly(s, f, math.Inf(1))
+		d1, _ := relax.DeltaStarPoly(s, f, 1)
+		if dInf > res.Delta+1e-6 || res.Lower > d1+1e-6 {
+			t.Fatalf("f=%d: bracket violated: inf=%v 2 in [%v, %v] 1=%v", f, dInf, res.Lower, res.Delta, d1)
 		}
 	}
 }
@@ -146,8 +157,8 @@ func TestDeltaStar2DegenerateInputs(t *testing.T) {
 	if res.Delta > 1e-6 {
 		t.Fatalf("degenerate inputs: delta = %v, want 0", res.Delta)
 	}
-	if !res.Exact {
-		t.Error("degenerate path should report exact")
+	if !res.Exact || res.Lower != 0 || res.Gap != 0 {
+		t.Errorf("degenerate path should report exact: %+v", res)
 	}
 }
 
@@ -162,18 +173,25 @@ func TestDeltaStar2RepeatedPoint(t *testing.T) {
 }
 
 // Theorem 9 numeric check on random simplices, treating each vertex in
-// turn as the faulty input.
+// turn as the faulty input. Both the closed form and the upper end of
+// the cutting-plane solver's certified interval must be strictly below
+// the bound, so the check rests on a proven delta*.
 func TestTheorem9BoundHolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 12; trial++ {
 		d := 3 + rng.Intn(3)
 		n := d + 1
 		s := randSimplexSet(rng, d)
-		dstar := DeltaStar2(s, 1).Delta
+		exact := DeltaStar2(s, 1).Delta
+		cert := DeltaStar2Iterative(s, 1)
+		if cert.Gap > 1e-8*s.MaxEdge(2) {
+			t.Fatalf("d=%d: uncertified delta*: gap %v", d, cert.Gap)
+		}
 		for faulty := 0; faulty < n; faulty++ {
 			bound := Theorem9Bound(s.Without(faulty), n)
-			if dstar >= bound {
-				t.Fatalf("d=%d faulty=%d: delta*=%v >= bound=%v", d, faulty, dstar, bound)
+			if exact >= bound || cert.Delta >= bound {
+				t.Fatalf("d=%d faulty=%d: delta*=%v (certified <= %v) >= bound=%v",
+					d, faulty, exact, cert.Delta, bound)
 			}
 		}
 	}
@@ -184,13 +202,17 @@ func TestTheorem12BoundHolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	d, f := 3, 2
 	n := (d + 1) * f
-	for trial := 0; trial < 2; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		pts := make([]vec.V, n)
 		for i := range pts {
 			pts[i] = randVec(rng, d, 2)
 		}
 		s := vec.NewSet(pts...)
-		dstar := DeltaStar2(s, f).Delta
+		res := DeltaStar2(s, f)
+		if res.Gap > 1e-8*s.MaxEdge(2) {
+			t.Fatalf("uncertified delta*: gap %v", res.Gap)
+		}
+		dstar := res.Delta // the upper end of the certified interval
 		// Worst case over which f inputs are faulty: bound must hold for
 		// every choice, so check the smallest bound (fewest edges removed
 		// maximizes... we simply check all choices).

@@ -229,6 +229,12 @@ func TestTCPPairExchange(t *testing.T) {
 	if f.From != 1 || f.Tag != "ack" {
 		t.Fatalf("delivered %+v", f)
 	}
+	// n0's writer goroutine adds to BytesSent only after WriteFrame
+	// returns, which can be after n1 has read the frame and answered:
+	// wait for the count to be published, bounded by ctx.
+	for n0.Stats().BytesSent == 0 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
 	if s := n0.Stats(); s.FramesSent == 0 || s.FramesReceived == 0 || s.BytesSent == 0 {
 		t.Errorf("stats not counted: %+v", s)
 	}

@@ -196,9 +196,10 @@ func TestKernelParityIntersectRelaxedHulls(t *testing.T) {
 	}
 }
 
-// TestKernelParityDeltaStarP: the δ* minimax descent fans its per-set
-// distance probes and warm-start descents over the kernel workers; the
-// index-ordered reductions must leave (δ, point) bit-identical to the
+// TestKernelParityDeltaStarP: the δ* solvers fan their per-set
+// distance probes (and, for p ∉ {2}, the warm-start descents) over the
+// kernel workers; the index-ordered reductions must leave (δ, point) —
+// and for p = 2 the certified lower bound — bit-identical to the
 // sequential solver.
 func TestKernelParityDeltaStarP(t *testing.T) {
 	if testing.Short() {
@@ -206,20 +207,33 @@ func TestKernelParityDeltaStarP(t *testing.T) {
 	}
 	setupKernelParity(t)
 	W := parityWorkers()
+	cases := []struct {
+		n, d int
+		p    float64
+	}{
+		// C(7,5) = 21 dropped subsets per probe in every case.
+		{7, 2, 1},
+		{7, 2, math.Inf(1)},
+		{7, 3, 2}, // the cutting-plane δ*₂ solver
+	}
 	for seed := int64(0); seed < 2; seed++ {
-		rng := rand.New(rand.NewSource(300 + seed))
-		s := paritySet(rng, 7, 2) // C(7,5) = 21 dropped subsets per probe
-		for _, p := range []float64{1, math.Inf(1)} {
+		for _, c := range cases {
+			rng := rand.New(rand.NewSource(300 + seed))
+			s := paritySet(rng, c.n, c.d)
 			par.SetKernelWorkers(1)
-			r1 := minimax.DeltaStarP(s, 2, p)
+			r1 := minimax.DeltaStarP(s, 2, c.p)
 			par.SetKernelWorkers(W)
-			rN := minimax.DeltaStarP(s, 2, p)
+			rN := minimax.DeltaStarP(s, 2, c.p)
 			if math.Float64bits(r1.Delta) != math.Float64bits(rN.Delta) {
 				t.Errorf("seed %d p=%v: delta %v at 1 worker, %v at %d workers",
-					seed, p, r1.Delta, rN.Delta, W)
+					seed, c.p, r1.Delta, rN.Delta, W)
+			}
+			if math.Float64bits(r1.Lower) != math.Float64bits(rN.Lower) {
+				t.Errorf("seed %d p=%v: lower %v at 1 worker, %v at %d workers",
+					seed, c.p, r1.Lower, rN.Lower, W)
 			}
 			if !sameBits(r1.Point, rN.Point) {
-				t.Errorf("seed %d p=%v: points differ: %v vs %v", seed, p, r1.Point, rN.Point)
+				t.Errorf("seed %d p=%v: points differ: %v vs %v", seed, c.p, r1.Point, rN.Point)
 			}
 		}
 	}
