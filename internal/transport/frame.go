@@ -30,13 +30,34 @@ const frameHeaderLen = 8
 // EncodeFrame flattens f to the wire payload (without the stream
 // length prefix).
 func EncodeFrame(f *Frame) []byte {
-	buf := make([]byte, frameHeaderLen, frameHeaderLen+8+len(f.Tag)+len(f.Data))
-	binary.BigEndian.PutUint16(buf[0:], uint16(f.From))
-	binary.BigEndian.PutUint16(buf[2:], uint16(f.To))
-	binary.BigEndian.PutUint32(buf[4:], uint32(int32(f.Round)))
+	return appendPayload(make([]byte, 0, payloadLen(f)), f)
+}
+
+// payloadLen is the encoded payload size of f, without the prefix.
+func payloadLen(f *Frame) int { return frameHeaderLen + 8 + len(f.Tag) + len(f.Data) }
+
+func appendPayload(buf []byte, f *Frame) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(f.From))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(f.To))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(int32(f.Round)))
 	buf = broadcast.AppendField(buf, []byte(f.Tag))
-	buf = broadcast.AppendField(buf, f.Data)
-	return buf
+	return broadcast.AppendField(buf, f.Data)
+}
+
+// AppendFrame appends f's stream form — the 4-byte length prefix and
+// the payload — to buf. A payload larger than maxFrame (0 =
+// DefaultMaxFrame) fails with ErrFrameTooLarge and returns buf
+// unchanged, so a buffer of queued frames never holds a partial one.
+func AppendFrame(buf []byte, f *Frame, maxFrame int) ([]byte, error) {
+	if maxFrame <= 0 {
+		maxFrame = DefaultMaxFrame
+	}
+	size := payloadLen(f)
+	if size > maxFrame {
+		return buf, fmt.Errorf("%w: %d-byte frame, limit %d", ErrFrameTooLarge, size, maxFrame)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(size))
+	return appendPayload(buf, f), nil
 }
 
 // DecodeFrame parses a payload produced by EncodeFrame. Trailing bytes
@@ -68,20 +89,15 @@ func DecodeFrame(b []byte) (Frame, error) {
 	return f, nil
 }
 
-// WriteFrame writes one length-prefixed frame to w. Frames larger than
-// maxFrame (0 = DefaultMaxFrame) fail with ErrFrameTooLarge before any
-// byte is written, keeping the stream framing intact.
+// WriteFrame writes one length-prefixed frame to w in a single Write.
+// Frames larger than maxFrame (0 = DefaultMaxFrame) fail with
+// ErrFrameTooLarge before any byte is written, keeping the stream
+// framing intact.
 func WriteFrame(w io.Writer, f *Frame, maxFrame int) (int, error) {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
+	buf, err := AppendFrame(nil, f, maxFrame)
+	if err != nil {
+		return 0, err
 	}
-	payload := EncodeFrame(f)
-	if len(payload) > maxFrame {
-		return 0, fmt.Errorf("%w: %d-byte frame, limit %d", ErrFrameTooLarge, len(payload), maxFrame)
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
 	n, err := w.Write(buf)
 	if err != nil {
 		return n, fmt.Errorf("%w: write: %v", ErrTransport, err)

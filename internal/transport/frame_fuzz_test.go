@@ -6,8 +6,10 @@ package transport
 // nothing panics. Truncated and oversized frames are seeded explicitly.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -82,6 +84,61 @@ func FuzzReadFrame(f *testing.F) {
 		consumed := len(b) - r.Len()
 		if !bytes.Equal(out.Bytes(), b[:consumed]) {
 			t.Fatalf("stream round-trip mismatch: wrote %x, consumed %x", out.Bytes(), b[:consumed])
+		}
+	})
+}
+
+// FuzzFrameStream checks the batched stream form: frames appended with
+// AppendFrame into one buffer read back in order through ReadFrame over
+// a bufio.Reader, and a frame over the limit is refused without
+// touching the frames around it. spec is consumed as (tag length, data
+// length, tag bytes, data bytes) records.
+func FuzzFrameStream(f *testing.F) {
+	f.Add([]byte("\x03\x07eigpayload\x04\x00\x00eor"), uint8(16))
+	f.Add([]byte("\x01\xff!"), uint8(0))
+	f.Fuzz(func(t *testing.T, spec []byte, limit uint8) {
+		maxFrame := frameHeaderLen + 8 + int(limit)%64
+		var buf []byte
+		var frames []Frame
+		for i := 0; len(spec) >= 2; i++ {
+			tl, dl := int(spec[0])%8, int(spec[1])
+			spec = spec[2:]
+			tl = min(tl, len(spec))
+			tag := string(spec[:tl])
+			spec = spec[tl:]
+			dl = min(dl, len(spec))
+			fr := Frame{From: i % 7, To: i % 5, Round: i - 1, Tag: tag, Data: spec[:dl]}
+			spec = spec[dl:]
+			before := bytes.Clone(buf)
+			out, err := AppendFrame(buf, &fr, maxFrame)
+			if len(EncodeFrame(&fr)) > maxFrame {
+				if !errors.Is(err, ErrFrameTooLarge) {
+					t.Fatalf("frame %d over the %d-byte limit: err = %v", i, maxFrame, err)
+				}
+				if !bytes.Equal(out, before) {
+					t.Fatalf("refused frame %d changed the buffer", i)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			buf = out
+			frames = append(frames, fr)
+		}
+		r := bufio.NewReaderSize(bytes.NewReader(buf), 16)
+		for i, want := range frames {
+			got, err := ReadFrame(r, maxFrame)
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", i, len(frames), err)
+			}
+			if got.From != want.From || got.To != want.To || got.Round != want.Round ||
+				got.Tag != want.Tag || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("frame %d: got %+v, want %+v", i, got, want)
+			}
+		}
+		if _, err := ReadFrame(r, maxFrame); !errors.Is(err, io.EOF) {
+			t.Fatalf("after %d frames: err = %v, want io.EOF", len(frames), err)
 		}
 	})
 }

@@ -15,13 +15,16 @@ package transport
 // node enters Step(r) only after EOR(r) arrived from every peer, so no
 // data frame for round r can still be in flight (links are ordered per
 // peer). A peer can run at most one round ahead — its EOR(r+1) waits on
-// our EOR(r) — so early frames are buffered by round, never dropped.
-// Duplicate EOR frames (at-least-once TCP redelivery) are counted once.
+// our EOR(r) — so two buffers indexed by round parity hold everything a
+// correct peer can send, and a frame two or more rounds ahead is an
+// error. Stale frames (at-least-once TCP redelivery) are dropped and
+// duplicate EOR frames are counted once.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"relaxedbvc/internal/sched"
 )
@@ -42,10 +45,28 @@ type SyncNodeStats struct {
 	FramesSent int
 }
 
+// roundSlot buffers one delivery round: its data messages and each
+// peer's EOR barrier state.
+type roundSlot struct {
+	msgs []sched.Message
+	seen []bool // peer -> EOR arrived
+	done []bool // peer -> Done flag of that EOR
+	eors int    // distinct peers whose EOR arrived
+}
+
+func (s *roundSlot) reset() {
+	s.msgs = s.msgs[:0]
+	clear(s.seen)
+	clear(s.done)
+	s.eors = 0
+}
+
 // RunSync drives proc over t in lockstep until every node in the
 // cluster reports Done or maxRounds (<=0 means the sched default 1<<16)
 // elapse. traceFn, when non-nil, observes every delivered protocol
-// message (the counterpart of sched.SyncEngine.TraceFn).
+// message (the counterpart of sched.SyncEngine.TraceFn). The slice
+// passed to Step is reused two rounds later; processes must not retain
+// it.
 func RunSync(ctx context.Context, t Transport, proc sched.SyncProcess, maxRounds int, traceFn func(sched.Message)) (*SyncNodeStats, error) {
 	if maxRounds <= 0 {
 		maxRounds = 1 << 16
@@ -82,66 +103,70 @@ func RunSync(ctx context.Context, t Transport, proc sched.SyncProcess, maxRounds
 		return nil
 	}
 
-	// Buffers for frames that arrive ahead of the round being collected.
-	pending := make(map[int][]sched.Message)
-	eorSeen := make(map[int]map[int]bool) // round -> peer -> seen
-	eorDone := make(map[int]map[int]bool) // round -> peer -> done flag
-	noteEOR := func(round, from int, done bool) {
-		if eorSeen[round] == nil {
-			eorSeen[round] = make(map[int]bool)
-			eorDone[round] = make(map[int]bool)
-		}
-		if eorSeen[round][from] {
-			return // duplicate barrier frame (reconnect redelivery)
-		}
-		eorSeen[round][from] = true
-		eorDone[round][from] = done
+	// Two slots, indexed by round parity: the round being collected and
+	// the one a peer may already be sending.
+	var slots [2]roundSlot
+	for i := range slots {
+		slots[i].seen = make([]bool, n)
+		slots[i].done = make([]bool, n)
 	}
 	// collect blocks until EOR(round) arrived from all n-1 peers, then
 	// returns the round's sorted inbox and whether every peer is done.
 	collect := func(round int) ([]sched.Message, bool, error) {
-		for len(eorSeen[round]) < n-1 {
+		cur := &slots[round&1]
+		// The other slot held round-1, whose Step has returned; frames
+		// for round+1 can only arrive from now on.
+		slots[(round+1)&1].reset()
+		for cur.eors < n-1 {
 			f, err := t.Recv(ctx)
 			if err != nil {
 				return nil, false, fmt.Errorf("node %d round %d: %w", self, round, err)
 			}
+			control := len(f.Tag) > 0 && f.Tag[0] == 0
+			if control && f.Tag != eorTag {
+				continue // unknown control frame from a newer peer: ignore
+			}
+			if f.From < 0 || f.From >= n || f.From == self {
+				return nil, false, fmt.Errorf("%w: node %d round %d: frame from peer %d", ErrBadPeer, self, round, f.From)
+			}
+			if f.Round < round {
+				// A frame for an already-collected round can only be a
+				// reconnect duplicate; the protocols tolerate (and the
+				// sim's fault layer exercises) duplication, but dropping
+				// it keeps the inbox bit-identical to the fault-free
+				// simulation.
+				continue
+			}
+			if f.Round > round+1 {
+				return nil, false, fmt.Errorf("%w: node %d round %d: peer %d sent a frame for round %d, more than one round ahead",
+					ErrTransport, self, round, f.From, f.Round)
+			}
+			s := &slots[f.Round&1]
 			switch {
-			case f.Tag == eorTag:
-				if f.Round >= round {
-					noteEOR(f.Round, f.From, len(f.Data) == 1 && f.Data[0] == 1)
-				}
-			case len(f.Tag) > 0 && f.Tag[0] == 0:
-				// Unknown control frame from a newer peer: ignore.
-			case f.Round >= round:
-				pending[f.Round] = append(pending[f.Round], sched.Message{
+			case !control:
+				s.msgs = append(s.msgs, sched.Message{
 					From: f.From, To: self, Tag: f.Tag, Data: f.Data, SentRound: f.Round - 1,
 				})
-			default:
-				// A data frame for an already-collected round can only be a
-				// reconnect duplicate; the protocols tolerate (and the sim's
-				// fault layer exercises) duplication, but dropping it keeps
-				// the inbox bit-identical to the fault-free simulation.
+			case !s.seen[f.From]: // a repeated EOR (reconnect redelivery) counts once
+				s.seen[f.From] = true
+				s.done[f.From] = len(f.Data) == 1 && f.Data[0] == 1
+				s.eors++
 			}
 		}
-		inbox := pending[round]
-		delete(pending, round)
-		sort.SliceStable(inbox, func(i, j int) bool {
-			a, b := inbox[i], inbox[j]
+		slices.SortStableFunc(cur.msgs, func(a, b sched.Message) int {
 			if a.From != b.From {
-				return a.From < b.From
+				return a.From - b.From
 			}
-			return a.Tag < b.Tag
+			return strings.Compare(a.Tag, b.Tag)
 		})
 		allDone := true
 		for peer := 0; peer < n; peer++ {
-			if peer != self && !eorDone[round][peer] {
+			if peer != self && !cur.done[peer] {
 				allDone = false
 				break
 			}
 		}
-		delete(eorSeen, round)
-		delete(eorDone, round)
-		return inbox, allDone, nil
+		return cur.msgs, allDone, nil
 	}
 
 	// Start: the frames it emits are delivered in round 0.

@@ -3,20 +3,27 @@ package transport
 // The real-network backend: length-prefixed frames over TCP. Each node
 // listens on its own address and keeps one outbound connection per
 // peer, established lazily and re-established with exponential backoff
-// after any dial or write failure. Inbound connections authenticate
-// with a hello frame naming the sender id, then stream frames into the
-// shared inbox. Close drains the outbound queues (bounded by
-// DrainTimeout) before tearing links down, so a node that finishes a
-// protocol and shuts down does not strand the final round's frames.
+// after any dial or write failure. Send encodes each frame straight
+// into its peer's byte buffer (an oversized frame fails there, before
+// anything is queued); the peer's writer takes the whole buffer at
+// each wake and sends it with one write, so the frames a lockstep
+// round queues together leave together. Inbound connections
+// authenticate with a hello frame naming the sender id, then stream
+// frames through one buffered reader into the shared inbox. Close
+// drains the outbound buffers (bounded by DrainTimeout) before tearing
+// links down, so a node that finishes a protocol and shuts down does
+// not strand the final round's frames.
 //
 // Delivery is at-least-once across reconnects: a write error after the
-// peer already received the frame leads to one duplicate. That is
-// inside the protocols' delivery model — the EIG tree store is
-// idempotent and the lockstep runner deduplicates its control frames —
-// and matches the duplication tolerance the sim's fault layer already
-// exercises.
+// peer already received part of a batch leads the writer to resend the
+// whole batch on the new connection, so the peer may see several
+// frames twice. That is inside the protocols' delivery model — the EIG
+// tree store is idempotent and the lockstep runner drops stale data
+// frames and counts each barrier once — and matches the duplication
+// tolerance the sim's fault layer already exercises.
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -38,15 +45,16 @@ var (
 	tcpBytesSent  = metrics.DefaultCounter("transport_tcp_bytes_sent_total")
 	tcpReconnects = metrics.DefaultCounter("transport_tcp_reconnects_total")
 	tcpLinkErrors = metrics.DefaultCounter("transport_tcp_link_errors_total")
+	tcpWrites     = metrics.DefaultCounter("transport_tcp_writes_total")
 )
 
 // tcpInboxCap bounds buffered inbound frames; senders' writes park in
 // kernel buffers once it fills.
 const tcpInboxCap = 1 << 13
 
-// tcpQueueCap bounds each outbound per-peer queue; Send blocks
-// (backpressure) when a peer falls this far behind.
-const tcpQueueCap = 1 << 12
+// tcpQueueBytes bounds each peer's buffer of encoded outbound frames;
+// Send blocks (backpressure) while a peer is this far behind.
+const tcpQueueBytes = 1 << 20
 
 // TCPConfig configures one node's TCP endpoint.
 type TCPConfig struct {
@@ -104,8 +112,11 @@ type TCP struct {
 
 	closing   chan struct{}
 	closeOnce sync.Once
-	writerWG  sync.WaitGroup
-	readerWG  sync.WaitGroup
+	// drainBy ends the writers' final flush; set before closing is
+	// closed, so it is read only after observing that.
+	drainBy  time.Time
+	writerWG sync.WaitGroup
+	readerWG sync.WaitGroup
 
 	mu       sync.Mutex
 	linkErrs map[int]error
@@ -115,16 +126,43 @@ type TCP struct {
 	framesRecv atomic.Int64
 	bytesSent  atomic.Int64
 	reconnects atomic.Int64
+	writes     atomic.Int64
 }
 
 type tcpPeer struct {
-	id    int
-	addr  string
-	queue chan Frame
+	id   int
+	addr string
+
+	mu sync.Mutex
+	// out holds encoded frames Send has queued and the writer has not
+	// taken yet.
+	out []byte
+	// space wakes senders parked on a full out; it locks mu.
+	space sync.Cond
+	// wake (cap 1) tells the writer that out is non-empty.
+	wake chan struct{}
+
 	// connected records that this link has succeeded at least once, so
 	// later re-establishments count as reconnects. Only the peer's
 	// writeLoop goroutine touches it.
 	connected bool
+}
+
+// take swaps the queued bytes for spare (emptied) and wakes parked
+// senders.
+func (p *tcpPeer) take(spare []byte) []byte {
+	p.mu.Lock()
+	batch := p.out
+	p.out = spare[:0]
+	p.space.Broadcast()
+	p.mu.Unlock()
+	return batch
+}
+
+func (p *tcpPeer) queued() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.out) > 0
 }
 
 // DialTCP opens node cfg.Self's endpoint: it listens on
@@ -168,7 +206,8 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 		if id == t.self {
 			continue
 		}
-		p := &tcpPeer{id: id, addr: c.Peers[id], queue: make(chan Frame, tcpQueueCap)}
+		p := &tcpPeer{id: id, addr: c.Peers[id], wake: make(chan struct{}, 1)}
+		p.space.L = &p.mu
 		t.peers[id] = p
 		t.writerWG.Add(1)
 		go t.writeLoop(p)
@@ -187,14 +226,13 @@ func (t *TCP) N() int { return t.n }
 // Addr returns the bound listen address (useful with ":0").
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Send implements Transport: it enqueues f on the peer's outbound
-// queue (blocking for backpressure) and returns once queued; the
-// per-peer writer flushes asynchronously with reconnect.
+// Send implements Transport: it encodes f into the peer's outbound
+// buffer (blocking for backpressure) and returns once queued; the
+// per-peer writer flushes asynchronously with reconnect. A frame over
+// MaxFrame fails with ErrFrameTooLarge and nothing is queued.
 func (t *TCP) Send(f Frame) error {
-	select {
-	case <-t.closing:
+	if t.isClosing() {
 		return fmt.Errorf("%w: node %d send after close", ErrClosed, t.self)
-	default:
 	}
 	f.From = t.self
 	if f.To == Broadcast {
@@ -202,9 +240,8 @@ func (t *TCP) Send(f Frame) error {
 			if to == t.self {
 				continue
 			}
-			df := f
-			df.To = to
-			if err := t.enqueue(df); err != nil {
+			f.To = to
+			if err := t.enqueue(&f); err != nil {
 				return err
 			}
 		}
@@ -213,18 +250,42 @@ func (t *TCP) Send(f Frame) error {
 	if err := checkPeer(f.To, t.self, t.n); err != nil {
 		return err
 	}
-	return t.enqueue(f)
+	return t.enqueue(&f)
 }
 
-func (t *TCP) enqueue(f Frame) error {
+func (t *TCP) enqueue(f *Frame) error {
 	p := t.peers[f.To]
-	select {
-	case p.queue <- f:
-		t.framesSent.Add(1)
-		tcpFramesSent.Inc()
-		return nil
-	case <-t.closing:
+	p.mu.Lock()
+	for len(p.out) >= tcpQueueBytes && !t.isClosing() {
+		p.space.Wait()
+	}
+	// Checked under mu: once the writer has seen closing and found out
+	// empty, no later frame can slip in behind its final flush.
+	if t.isClosing() {
+		p.mu.Unlock()
 		return fmt.Errorf("%w: node %d closed mid-send", ErrClosed, t.self)
+	}
+	out, err := AppendFrame(p.out, f, t.cfg.MaxFrame)
+	p.out = out
+	p.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("node %d send to %d: %w", t.self, f.To, err)
+	}
+	t.framesSent.Add(1)
+	tcpFramesSent.Inc()
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+func (t *TCP) isClosing() bool {
+	select {
+	case <-t.closing:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -261,15 +322,26 @@ func (t *TCP) Stats() Stats {
 		FramesReceived: t.framesRecv.Load(),
 		BytesSent:      t.bytesSent.Load(),
 		Reconnects:     t.reconnects.Load(),
+		Writes:         t.writes.Load(),
 	}
 }
 
-// Close shuts the endpoint down gracefully: new Sends fail
-// immediately, the per-peer writers flush their queues (bounded by
-// DrainTimeout), then the listener and every connection close and all
-// loops are joined.
+// Close shuts the endpoint down gracefully: new and parked Sends fail,
+// the per-peer writers flush their buffers (bounded by DrainTimeout),
+// then the listener and every connection close and all loops are
+// joined.
 func (t *TCP) Close() error {
-	t.closeOnce.Do(func() { close(t.closing) })
+	t.closeOnce.Do(func() {
+		t.drainBy = time.Now().Add(t.cfg.DrainTimeout)
+		close(t.closing)
+		for _, p := range t.peers {
+			if p != nil {
+				p.mu.Lock()
+				p.space.Broadcast()
+				p.mu.Unlock()
+			}
+		}
+	})
 	done := make(chan struct{})
 	go func() {
 		t.writerWG.Wait()
@@ -308,6 +380,8 @@ func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
 		tc.SetNoDelay(true) //nolint:errcheck // best-effort latency knob
 	}
 	hello := Frame{From: t.self, To: p.id, Round: -1, Tag: helloTag}
+	t.writes.Add(1)
+	tcpWrites.Inc()
 	if _, err := WriteFrame(conn, &hello, t.cfg.MaxFrame); err != nil {
 		conn.Close() //nolint:errcheck // dial failed anyway
 		return nil, fmt.Errorf("%w: hello %d->%d: %v", ErrLink, t.self, p.id, err)
@@ -315,21 +389,14 @@ func (t *TCP) dial(p *tcpPeer) (net.Conn, error) {
 	return conn, nil
 }
 
-// connect dials p with exponential backoff until it succeeds, the
-// transport starts closing, or the optional deadline passes.
-func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
+// connect dials p with exponential backoff until it succeeds or, once
+// the transport is closing, until the drain deadline passes (then it
+// returns nil).
+func (t *TCP) connect(p *tcpPeer) net.Conn {
 	backoff := t.cfg.BackoffMin
-	// One timer reused across attempts: time.After here would allocate
-	// a fresh timer per retry, each alive until its full backoff
-	// elapses even after the connection succeeds.
-	var retry *time.Timer
-	defer func() {
-		if retry != nil {
-			retry.Stop()
-		}
-	}()
 	for {
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		closing := t.isClosing()
+		if closing && !time.Now().Before(t.drainBy) {
 			return nil
 		}
 		conn, err := t.dial(p)
@@ -342,68 +409,33 @@ func (t *TCP) connect(p *tcpPeer, deadline time.Time) net.Conn {
 			return conn
 		}
 		t.setLinkErr(p.id, err)
-		if retry == nil {
-			retry = time.NewTimer(backoff)
-		} else {
-			if !retry.Stop() {
-				select {
-				case <-retry.C:
-				default:
-				}
-			}
-			retry.Reset(backoff)
+		wait, stop := backoff, t.closing
+		if closing {
+			// Draining: sleep out the backoff, cut at the deadline.
+			wait, stop = min(wait, time.Until(t.drainBy)), nil
 		}
+		// A stopped timer, not time.After, whose timer would stay alive
+		// for the full backoff after Close.
+		retry := time.NewTimer(wait)
 		select {
-		case <-t.closing:
-			// Keep trying only while draining with a deadline; a plain
-			// close abandons the link.
-			if deadline.IsZero() {
-				return nil
-			}
+		case <-stop:
 		case <-retry.C:
 		}
+		retry.Stop()
 		if backoff *= 2; backoff > t.cfg.BackoffMax {
 			backoff = t.cfg.BackoffMax
 		}
 	}
 }
 
-// writeOne flushes f to p, reconnecting on failure until it is written
-// or the deadline/closing applies. It returns the live connection (nil
-// when the frame had to be dropped).
-func (t *TCP) writeOne(p *tcpPeer, conn net.Conn, f Frame, deadline time.Time) net.Conn {
-	for {
-		if conn == nil {
-			conn = t.connect(p, deadline)
-			if conn == nil {
-				return nil
-			}
-		}
-		n, err := WriteFrame(conn, &f, t.cfg.MaxFrame)
-		if err == nil {
-			t.bytesSent.Add(int64(n))
-			tcpBytesSent.Add(int64(n))
-			return conn
-		}
-		t.setLinkErr(p.id, fmt.Errorf("%w: write %d->%d: %v", ErrLink, t.self, p.id, err))
-		conn.Close() //nolint:errcheck // already failed
-		conn = nil
-		select {
-		case <-t.closing:
-			if deadline.IsZero() {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return nil
-			}
-		default:
-		}
-	}
-}
-
+// writeLoop sends p's queued frames: at each wake it takes the whole
+// buffer and writes it with one conn.Write, reconnecting and rewriting
+// the batch after a failure. After Close it keeps flushing until the
+// buffer is empty or the drain deadline passes.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.writerWG.Done()
 	var conn net.Conn
+	var batch []byte
 	defer func() {
 		if conn != nil {
 			conn.Close() //nolint:errcheck // shutdown
@@ -411,20 +443,41 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 	}()
 	for {
 		select {
-		case f := <-p.queue:
-			conn = t.writeOne(p, conn, f, time.Time{})
+		case <-p.wake:
 		case <-t.closing:
-			// Drain what is already queued, bounded by DrainTimeout, so
-			// the final round of a finished protocol reaches the peer.
-			deadline := time.Now().Add(t.cfg.DrainTimeout)
-			for {
-				select {
-				case f := <-p.queue:
-					conn = t.writeOne(p, conn, f, deadline)
-				default:
+		}
+		closing := t.isClosing()
+		// Connect before taking the batch, so that frames queued while
+		// the link was down leave in one write.
+		if conn == nil && p.queued() {
+			if conn = t.connect(p); conn == nil {
+				return
+			}
+		}
+		batch = p.take(batch)
+		for len(batch) > 0 {
+			if conn == nil {
+				if conn = t.connect(p); conn == nil {
 					return
 				}
 			}
+			if closing {
+				conn.SetWriteDeadline(t.drainBy) //nolint:errcheck // a failed write reports it
+			}
+			t.writes.Add(1)
+			tcpWrites.Inc()
+			_, err := conn.Write(batch)
+			if err == nil {
+				t.bytesSent.Add(int64(len(batch)))
+				tcpBytesSent.Add(int64(len(batch)))
+				break
+			}
+			t.setLinkErr(p.id, fmt.Errorf("%w: write %d->%d: %v", ErrLink, t.self, p.id, err))
+			conn.Close() //nolint:errcheck // already failed
+			conn = nil
+		}
+		if closing && !p.queued() {
+			return
 		}
 	}
 }
@@ -459,7 +512,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.conns, conn)
 		t.mu.Unlock()
 	}()
-	hello, err := ReadFrame(conn, t.cfg.MaxFrame)
+	// One buffered reader per connection, so a round's batch arrives
+	// in one read.
+	r := bufio.NewReader(conn)
+	hello, err := ReadFrame(r, t.cfg.MaxFrame)
 	if err != nil || hello.Tag != helloTag || hello.From < 0 || hello.From >= t.n || hello.From == t.self {
 		// Not a cluster peer (or a broken handshake): drop the
 		// connection without poisoning a link slot.
@@ -467,7 +523,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 	peer := hello.From
 	for {
-		f, err := ReadFrame(conn, t.cfg.MaxFrame)
+		f, err := ReadFrame(r, t.cfg.MaxFrame)
 		if err != nil {
 			select {
 			case <-t.closing:

@@ -78,7 +78,10 @@ type Frame struct {
 //
 // Send enqueues a frame to a peer (or all peers with To == Broadcast);
 // it may block for backpressure but never blocks on a slow network —
-// stream backends buffer and flush asynchronously with reconnect.
+// stream backends encode the frame into a per-peer buffer at Send
+// (failing at once on a frame over the size limit) and flush that
+// buffer asynchronously, in batches, with reconnect. Delivery across a
+// reconnect is at-least-once.
 // Recv delivers the next incoming frame, honoring ctx cancellation.
 // Close releases the endpoint; it drains queued outgoing frames before
 // tearing links down, and subsequent Sends/Recvs fail with ErrClosed.
@@ -108,6 +111,9 @@ type Stats struct {
 	BytesSent int64
 	// Reconnects counts re-established peer connections (TCP only).
 	Reconnects int64
+	// Writes counts socket writes, hellos included (TCP only); with
+	// FramesSent it shows how many frames each write carried.
+	Writes int64
 }
 
 // Instrumented is implemented by backends that track per-endpoint

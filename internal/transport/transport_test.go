@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -75,6 +76,14 @@ func TestWriteFrameTooLarge(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("oversized frame wrote %d bytes; stream framing is broken", buf.Len())
+	}
+	queued := []byte("queued")
+	got, err := AppendFrame(queued, &f, 64)
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("AppendFrame err = %v, want ErrFrameTooLarge", err)
+	}
+	if string(got) != "queued" {
+		t.Fatalf("oversized AppendFrame left %q, want the buffer unchanged", got)
 	}
 }
 
@@ -237,6 +246,102 @@ func TestTCPPairExchange(t *testing.T) {
 	}
 	if s := n0.Stats(); s.FramesSent == 0 || s.FramesReceived == 0 || s.BytesSent == 0 {
 		t.Errorf("stats not counted: %+v", s)
+	}
+}
+
+// TestTCPOversizedSendFailsFast pins that a frame over MaxFrame fails
+// in Send, before anything is queued, and leaves the link working: it
+// must not reach the writer, which would treat it as a link failure.
+func TestTCPOversizedSendFailsFast(t *testing.T) {
+	ln0, ln1 := listenLoopback(t), listenLoopback(t)
+	peers := map[int]string{0: ln0.Addr().String(), 1: ln1.Addr().String()}
+	n0, err := DialTCP(TCPConfig{Self: 0, Peers: peers, Listener: ln0, MaxFrame: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+	n1, err := DialTCP(TCPConfig{Self: 1, Peers: peers, Listener: ln1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n1.Close()
+
+	for _, to := range []int{1, Broadcast} {
+		err := n0.Send(Frame{To: to, Round: 0, Tag: "eig", Data: make([]byte, 200)})
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("oversized send to %d: err = %v, want ErrFrameTooLarge", to, err)
+		}
+	}
+	if err := n0.Send(Frame{To: 1, Round: 0, Tag: "eig", Data: []byte("next")}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	f, err := n1.Recv(ctx)
+	if err != nil {
+		t.Fatalf("frame after the oversized one never arrived: %v", err)
+	}
+	if string(f.Data) != "next" {
+		t.Fatalf("delivered %+v", f)
+	}
+	if s := n0.Stats(); s.Reconnects != 0 || s.FramesSent != 1 {
+		t.Errorf("stats %+v, want 0 reconnects and 1 frame sent", s)
+	}
+	if err := n0.LinkError(1); err != nil {
+		t.Errorf("oversized send failed the link: %v", err)
+	}
+}
+
+// TestTCPBurstCoalescesWrites pins the batched writer: 100 frames
+// queued while the peer is down leave in one write once it comes up
+// (plus the hello), complete, in order and byte-identical.
+func TestTCPBurstCoalescesWrites(t *testing.T) {
+	ln0, down := listenLoopback(t), listenLoopback(t)
+	addr1 := down.Addr().String()
+	down.Close() // peer 1 is not listening yet: dials are refused
+	peers := map[int]string{0: ln0.Addr().String(), 1: addr1}
+	n0, err := DialTCP(TCPConfig{
+		Self: 0, Peers: peers, Listener: ln0,
+		BackoffMin: 200 * time.Millisecond, BackoffMax: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+
+	burst := make([]Frame, 100)
+	for i := range burst {
+		burst[i] = Frame{To: 1, Round: i, Tag: "eig", Data: []byte(fmt.Sprintf("frame-%03d", i))}
+		if err := n0.Send(burst[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for n0.LinkError(1) == nil && ctx.Err() == nil {
+		time.Sleep(time.Millisecond) // until a dial has been refused
+	}
+	ln1, err := net.Listen("tcp", addr1)
+	if err != nil {
+		t.Fatalf("re-listen on %s: %v", addr1, err)
+	}
+	n1, err := DialTCP(TCPConfig{Self: 1, Peers: peers, Listener: ln1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n1.Close()
+
+	for i, want := range burst {
+		got, err := n1.Recv(ctx)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.From != 0 || got.Round != want.Round || got.Tag != want.Tag || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("frame %d: got %+v, want %+v", i, got, want)
+		}
+	}
+	if w := n0.Stats().Writes; w > 3 {
+		t.Errorf("burst of %d frames took %d writes, want at most 3 (hello included)", len(burst), w)
 	}
 }
 
