@@ -1,6 +1,7 @@
 package acs
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -215,6 +216,8 @@ func TestACSConfigValidation(t *testing.T) {
 		{N: 4, F: 1, Self: 4, D: 2},
 		{N: 4, F: 1, Self: 0, D: 0},
 		{N: 4, F: 1, Self: 0, D: 2, Proposals: []vec.V{vec.Of(1, 2, 3)}},
+		{N: 4, F: 1, Self: 0, D: 2, NormP: 0.5},
+		{N: 4, F: 1, Self: 0, D: 2, NormP: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := NewNode(cfg); err == nil {

@@ -2,12 +2,10 @@ package acs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"relaxedbvc/internal/broadcast"
 	"relaxedbvc/internal/minimax"
-	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/sched"
 	"relaxedbvc/internal/vec"
 )
@@ -35,8 +33,8 @@ type Config struct {
 	N, F, Self int
 	// D is the proposal vector dimension.
 	D int
-	// NormP is the Lp norm of the epoch decision kernel: 1, 2 or +Inf
-	// (0 means 2), matching ComputeDeltaStar's dispatch.
+	// NormP is the Lp norm of the epoch decision kernel: any p >= 1,
+	// +Inf included (0 means 2), matching ComputeDeltaStar's dispatch.
 	NormP float64
 	// Proposals holds this node's per-epoch proposal vectors; their
 	// count is the stream length (every node must agree on it).
@@ -119,6 +117,12 @@ func NewNode(cfg Config) (*Node, error) {
 		if len(p) != cfg.D {
 			return nil, fmt.Errorf("acs: epoch %d proposal dimension %d != %d", e, len(p), cfg.D)
 		}
+	}
+	if cfg.NormP == 0 {
+		cfg.NormP = 2
+	}
+	if !(cfg.NormP >= 1) {
+		return nil, fmt.Errorf("acs: need NormP >= 1, got %v", cfg.NormP)
 	}
 	return &Node{
 		cfg:    cfg,
@@ -368,18 +372,6 @@ func (n *Node) decodeValue(b []byte) vec.V {
 // vector with the paper's delta*_p kernel — the same dispatch as the
 // public ComputeDeltaStar, so the oracle can recompute it bit-for-bit.
 func decideEpoch(values []vec.V, f int, p float64) (vec.V, float64) {
-	s := vec.NewSet(values...)
-	if p == 0 {
-		p = 2
-	}
-	switch {
-	case p == 2:
-		r := minimax.DeltaStar2(s, f)
-		return r.Point, r.Delta
-	case p == 1 || math.IsInf(p, 1):
-		delta, pt := relax.DeltaStarPoly(s, f, p)
-		return pt, delta
-	}
-	r := minimax.DeltaStarP(s, f, p)
+	r := minimax.DeltaStar(vec.NewSet(values...), f, p)
 	return r.Point, r.Delta
 }

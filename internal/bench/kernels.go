@@ -1,10 +1,10 @@
 // Kernel-parallelism benchmark: times the combinatorial geometry
 // kernels (Tverberg partition scan, k-relaxed membership sweep, Lp
 // minimax descent) along two axes — one kernel worker versus the full
-// worker pool, and the fast single-thread path (filtered predicates +
-// warm-started LPs, the default) versus the legacy exact-everything
-// path (filters and warm start disabled, one worker: the code path
-// before the filtered-predicate work landed). Outputs are verified
+// worker pool, and the fast single-thread path (filtered predicates,
+// the default) versus the legacy exact-everything path (filters off,
+// one worker: the code path before the filtered-predicate work
+// landed). Outputs are verified
 // bit-identical across all lanes, and the memo cache's warm lookup
 // path is measured. Behind `bvcbench -kernel-bench`, `make
 // bench-kernels` and the kernel half of the bench-regression guard;
@@ -24,7 +24,6 @@ import (
 
 	bvc "relaxedbvc"
 	"relaxedbvc/internal/geom"
-	"relaxedbvc/internal/lp"
 	"relaxedbvc/internal/metrics"
 	"relaxedbvc/internal/minimax"
 	"relaxedbvc/internal/par"
@@ -46,8 +45,8 @@ type KernelCase struct {
 	Speedup         float64 `json:"speedup"`
 
 	// LegacySeconds times the same rounds at one worker with the
-	// filtered predicates and the LP warm start disabled — the exact
-	// code path before those optimizations landed. SingleThreadSpeedup
+	// filtered predicates disabled — the exact code path before that
+	// optimization landed. SingleThreadSpeedup
 	// is LegacySeconds / Workers1Seconds: the single-thread win of the
 	// fast path, independent of core count.
 	LegacySeconds       float64 `json:"legacy_seconds"`
@@ -90,8 +89,7 @@ type KernelReport struct {
 	MinSingleThreadSpeedup float64 `json:"min_single_thread_speedup"`
 
 	// FastPathCounters is the metrics delta of the fast-path machinery
-	// (warm-start hits, filter accept/reject/fallback splits, arena
-	// reuse) accumulated over the benchmark run — the observability
+	// (filter accept/reject/fallback splits, arena reuse) accumulated over the benchmark run — the observability
 	// that the speedups come from the mechanisms they claim to.
 	FastPathCounters map[string]int64 `json:"fast_path_counters,omitempty"`
 
@@ -225,9 +223,9 @@ func kernelDefs(seed int64) []kernelDef {
 		hkQueries[i] = q
 	}
 	// Γ_(δ,p) threshold scan: one dropped-subset family probed at a
-	// descending delta ladder. The joint LP's shape is identical across
-	// the ladder — only the delta bounds move — so the warm-started
-	// solver re-certifies the infeasible tail from the previous basis.
+	// descending delta ladder: the feasible head and the infeasible
+	// tail of the same joint LP, whose shape is identical across the
+	// ladder (only the delta bounds move).
 	gammaSet := kernelSet(seed+6, 7, 2)
 	gammaFam := relax.DroppedSubsets(gammaSet, 2)
 	gammaDeltas := []float64{4, 2, 1, 0.5, 0.25, 0.12, 0.06, 0.03}
@@ -332,7 +330,6 @@ func RunKernels(workers int, seed int64, diag io.Writer) (*KernelReport, error) 
 		bvc.ResetCaches()
 		par.SetKernelWorkers(0)
 		geom.SetFilteredPredicates(true)
-		lp.SetWarmStart(true)
 	}()
 
 	rep := &KernelReport{
@@ -377,8 +374,8 @@ func RunKernels(workers int, seed int64, diag io.Writer) (*KernelReport, error) 
 		}
 
 		// The fingerprint equality across all three lanes doubles as a
-		// parity assertion: the filtered screens and the warm start must
-		// not move a single output bit versus the legacy exact path.
+		// parity assertion: the filtered screens must not move a single
+		// output bit versus the legacy exact path.
 		identical := seqFp == parFp && calFp == parFp && legacyFp == seqFp
 		c := KernelCase{
 			Name:                def.name,
@@ -444,15 +441,11 @@ func timeKernel(def kernelDef, workers, rounds int) (float64, fingerprint, error
 }
 
 // timeKernelLegacy runs def for rounds iterations on the legacy exact
-// path: one worker, filtered predicates off, warm start off — the
-// kernel code as it stood before the fast-path work.
+// path: one worker, filtered predicates off — the kernel code as it
+// stood before the fast-path work.
 func timeKernelLegacy(def kernelDef, rounds int) (float64, fingerprint, error) {
 	geom.SetFilteredPredicates(false)
-	lp.SetWarmStart(false)
-	defer func() {
-		geom.SetFilteredPredicates(true)
-		lp.SetWarmStart(true)
-	}()
+	defer geom.SetFilteredPredicates(true)
 	return timeKernel(def, 1, rounds)
 }
 
@@ -460,7 +453,6 @@ func timeKernelLegacy(def kernelDef, rounds int) (float64, fingerprint, error) {
 // snapshots: the fast-path mechanisms whose hit rates explain the
 // measured speedups.
 var fastPathCounterPrefixes = []string{
-	"lp_warm_",
 	"geom_filter_",
 	"relax_prefilter_separation_",
 	"relax_kproj_",

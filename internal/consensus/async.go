@@ -331,13 +331,8 @@ func (p *rvaProcess) choose(round int, witness []int, vals []vec.V) (vec.V, floa
 				out = pt
 			}
 		} else {
-			switch norm := p.cfg.norm(); {
-			case norm == 2:
-				r := minimax.DeltaStar2(set, p.cfg.F)
-				out, delta = r.Point, r.Delta
-			default: // 1 or +Inf, validated up front
-				delta, out = relax.DeltaStarPoly(set, p.cfg.F, norm)
-			}
+			r := minimax.DeltaStar(set, p.cfg.F, p.cfg.norm()) // 1, 2 or +Inf, validated up front
+			out, delta = r.Point, r.Delta
 		}
 	} else {
 		out = vec.Mean(vals)

@@ -359,19 +359,13 @@ func KRelaxedChooser(cfg *SyncConfig, k int) (Chooser, error) {
 // attaining it. Supported p: 2 (closed form / minimax), 1 and +Inf
 // (exact LP).
 func DeltaRelaxedChooser(cfg *SyncConfig, p float64) (Chooser, error) {
-	switch {
-	case p == 2:
-		return func(s *vec.Set) (vec.V, float64, error) {
-			r := minimax.DeltaStar2(s, cfg.F)
-			return r.Point, r.Delta, nil
-		}, nil
-	case p == 1 || math.IsInf(p, 1):
-		return func(s *vec.Set) (vec.V, float64, error) {
-			delta, pt := relax.DeltaStarPoly(s, cfg.F, p)
-			return pt, delta, nil
-		}, nil
+	if p != 1 && p != 2 && !math.IsInf(p, 1) {
+		return nil, fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
 	}
-	return nil, fmt.Errorf("%w: p=%v (use 1, 2 or +Inf)", ErrBadNorm, p)
+	return func(s *vec.Set) (vec.V, float64, error) {
+		r := minimax.DeltaStar(s, cfg.F, p)
+		return r.Point, r.Delta, nil
+	}, nil
 }
 
 // ScalarChooser returns the d = 1 exact scalar consensus choice

@@ -287,10 +287,6 @@ type standard struct {
 	orig   *Problem
 	artRow []bool // rows that required an artificial in phase 1
 	ws     *workspace
-	// capture, when non-nil, receives the final basis of an Optimal
-	// solve (if it is all-structural) for reuse by SolveWarm. It never
-	// influences the solve itself.
-	capture *WarmState
 }
 
 func (p *Problem) standardize(ws *workspace) (*standard, error) {

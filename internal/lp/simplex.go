@@ -53,9 +53,6 @@ func (s *standard) solve() *Result {
 			y[bi] = t.b[i]
 		}
 	}
-	if s.capture != nil {
-		s.capture.store(t.basis, s.m, s.n)
-	}
 	return &Result{Status: Optimal, X: y, Objective: t.val2}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"relaxedbvc/internal/geom"
 	"relaxedbvc/internal/par"
+	"relaxedbvc/internal/relax"
 	"relaxedbvc/internal/vec"
 )
 
@@ -51,6 +52,25 @@ func familyDistsPInto(dst []distHit, x vec.V, sets []*vec.Set, p float64, worker
 	return dst
 }
 
+// DeltaStar computes delta*_p(S) — the smallest delta for which
+// Gamma_(delta,p)(S) is non-empty (Section 9.3) — for any p >= 1
+// (math.Inf(1) allowed). It is the one norm-to-kernel dispatch: p = 2
+// runs DeltaStar2 (closed forms or the certified cutting-plane solver),
+// p in {1, inf} the exact LP of relax.DeltaStarPoly, and any other p the
+// generic solver DeltaStarP. The LP path proves no lower bound here, so
+// its Result has Lower 0 and Gap = Delta. Callers validate 1 <= f < |S|
+// and p >= 1 first; the kernels panic otherwise.
+func DeltaStar(s *vec.Set, f int, p float64) Result {
+	switch {
+	case p == 2:
+		return DeltaStar2(s, f)
+	case p == 1 || math.IsInf(p, 1):
+		delta, pt := relax.DeltaStarPoly(s, f, p)
+		return Result{Delta: delta, Point: pt, Gap: delta}
+	}
+	return DeltaStarP(s, f, p)
+}
+
 // DeltaStarP computes delta*_p(S) — the smallest delta for which
 // Gamma_(delta,p)(S) is non-empty — for a general Lp norm (p >= 1,
 // math.Inf(1) allowed). This is the Section 9.3 quantity. p = 2 uses the
@@ -65,7 +85,7 @@ func DeltaStarP(s *vec.Set, f int, p float64) Result {
 	if p == 2 {
 		return DeltaStar2(s, f)
 	}
-	if p < 1 {
+	if !(p >= 1) {
 		panic("minimax: DeltaStarP requires p >= 1")
 	}
 	fam := droppedSubsets(s, f)

@@ -17,6 +17,33 @@ func TestDeltaStarPDispatchesToL2(t *testing.T) {
 	}
 }
 
+// TestDeltaStarDispatch pins the one norm-to-kernel dispatch: p = 2 and
+// p in {1, inf} return their kernel's Result bit-for-bit, and the LP
+// path, which proves no lower bound here, reports Lower 0 and Gap =
+// Delta. The root TestParityDeltaStar pins the general-p branch.
+func TestDeltaStarDispatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	s := vec.NewSet(randVec(rng, 2, 3), randVec(rng, 2, 3), randVec(rng, 2, 3))
+	same := func(p float64, got, want Result) {
+		t.Helper()
+		ok := math.Float64bits(got.Delta) == math.Float64bits(want.Delta) &&
+			math.Float64bits(got.Lower) == math.Float64bits(want.Lower) &&
+			math.Float64bits(got.Gap) == math.Float64bits(want.Gap) &&
+			got.Exact == want.Exact && len(got.Point) == len(want.Point)
+		for k := 0; ok && k < len(want.Point); k++ {
+			ok = math.Float64bits(got.Point[k]) == math.Float64bits(want.Point[k])
+		}
+		if !ok {
+			t.Fatalf("p=%v: DeltaStar %+v, kernel %+v", p, got, want)
+		}
+	}
+	same(2, DeltaStar(s, 1, 2), DeltaStar2(s, 1))
+	for _, p := range []float64{1, math.Inf(1)} {
+		delta, pt := relax.DeltaStarPoly(s, 1, p)
+		same(p, DeltaStar(s, 1, p), Result{Delta: delta, Point: pt, Gap: delta})
+	}
+}
+
 func TestDeltaStarPMatchesExactLPNorms(t *testing.T) {
 	// For p = 1 and p = inf we have exact LP values; the generic solver
 	// must agree to solver tolerance (and never undercut them: it is an

@@ -232,9 +232,10 @@ func Combinations(n, k int, fn func(idx []int) bool) {
 
 // CombinationsGray calls fn with each size-k subset of {0,...,n-1} in
 // revolving-door (Gray code) order: consecutive subsets differ by
-// exactly one element swapped, which keeps incrementally warm-started
-// work (LP bases, projection buffers) maximally reusable across a
-// sweep. The slice passed to fn is sorted ascending and reused; copy it
+// exactly one element swapped. The C(d,k) projection sweep of
+// relax.InHullK, its one user, relies on that to keep its reused
+// projection buffers and the memo cache's working set warm. The slice
+// passed to fn is sorted ascending and reused; copy it
 // if it must be retained. fn returning false stops early. The subset
 // family visited is exactly that of Combinations, only the order
 // differs — callers whose per-subset results are order-dependent must

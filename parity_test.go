@@ -1,18 +1,22 @@
 package relaxedbvc_test
 
-// Parity tests: every deprecated Run* wrapper must produce bit-for-bit
-// the same outcome as Run(ctx, Spec{...}) on identical inputs. Each case
-// runs both paths with caching disabled first (independent solves), then
-// re-runs the Spec path with caching on to confirm cache hits replay the
-// same bits.
+// Parity tests: Run(ctx, Spec{...}) must produce bit-for-bit the same
+// outcome as the protocol engine it dispatches to (the consensus.Run*
+// entry points) on identical inputs. Each case runs both paths with
+// caching disabled first (independent solves), then re-runs the Spec
+// path with caching on to confirm cache hits replay the same bits.
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	bvc "relaxedbvc"
+	"relaxedbvc/internal/consensus"
+	"relaxedbvc/internal/minimax"
+	"relaxedbvc/internal/relax"
 )
 
 func parityInputs(t *testing.T, seed int64, n, d int) []bvc.Vector {
@@ -89,8 +93,8 @@ func runBoth(t *testing.T, spec bvc.Spec) *bvc.Result {
 
 func TestParityExact(t *testing.T) {
 	inputs := parityInputs(t, 1, 5, 2)
-	cfg := &bvc.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}
-	old, err := bvc.RunExactBVC(cfg)
+	cfg := &consensus.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}
+	old, err := consensus.RunExactBVC(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +107,8 @@ func TestParityExact(t *testing.T) {
 
 func TestParityKRelaxed(t *testing.T) {
 	inputs := parityInputs(t, 2, 4, 2)
-	cfg := &bvc.SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}
-	old, err := bvc.RunKRelaxedBVC(cfg, 1)
+	cfg := &consensus.SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}
+	old, err := consensus.RunKRelaxedBVC(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +119,8 @@ func TestParityKRelaxed(t *testing.T) {
 func TestParityDeltaRelaxed(t *testing.T) {
 	for _, p := range []float64{1, 2, bvc.LInf} {
 		inputs := parityInputs(t, 3, 4, 3)
-		cfg := &bvc.SyncConfig{N: 4, F: 1, D: 3, Inputs: inputs}
-		old, err := bvc.RunDeltaRelaxedBVC(cfg, p)
+		cfg := &consensus.SyncConfig{N: 4, F: 1, D: 3, Inputs: inputs}
+		old, err := consensus.RunDeltaRelaxedBVC(context.Background(), cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +133,7 @@ func TestParityDeltaRelaxed(t *testing.T) {
 func TestParityDeltaRelaxedDefaultNorm(t *testing.T) {
 	// Spec.NormP = 0 must mean p = 2.
 	inputs := parityInputs(t, 4, 4, 2)
-	old, err := bvc.RunDeltaRelaxedBVC(&bvc.SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}, 2)
+	old, err := consensus.RunDeltaRelaxedBVC(context.Background(), &consensus.SyncConfig{N: 4, F: 1, D: 2, Inputs: inputs}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +144,7 @@ func TestParityDeltaRelaxedDefaultNorm(t *testing.T) {
 
 func TestParityScalar(t *testing.T) {
 	inputs := parityInputs(t, 5, 4, 1)
-	old, err := bvc.RunScalarConsensus(&bvc.SyncConfig{N: 4, F: 1, D: 1, Inputs: inputs})
+	old, err := consensus.RunScalarConsensus(context.Background(), &consensus.SyncConfig{N: 4, F: 1, D: 1, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestParityScalar(t *testing.T) {
 
 func TestParityConvex(t *testing.T) {
 	inputs := parityInputs(t, 6, 5, 2)
-	old, err := bvc.RunConvexHullConsensus(&bvc.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}, 8)
+	old, err := consensus.RunConvexHullConsensus(context.Background(), &consensus.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestParityConvex(t *testing.T) {
 
 func TestParityIterative(t *testing.T) {
 	inputs := parityInputs(t, 7, 5, 1)
-	old, err := bvc.RunIterativeBVC(&bvc.IterConfig{N: 5, F: 1, D: 1, Inputs: inputs, Rounds: 12})
+	old, err := consensus.RunIterativeBVC(context.Background(), &consensus.IterConfig{N: 5, F: 1, D: 1, Inputs: inputs, Rounds: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestParityIterative(t *testing.T) {
 
 func TestParityAsync(t *testing.T) {
 	inputs := parityInputs(t, 8, 4, 2)
-	old, err := bvc.RunAsyncBVC(&bvc.AsyncConfig{N: 4, F: 1, D: 2, Inputs: inputs, Rounds: 3})
+	old, err := consensus.RunAsyncBVC(context.Background(), &consensus.AsyncConfig{N: 4, F: 1, D: 2, Inputs: inputs, Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +195,7 @@ func TestParityAsync(t *testing.T) {
 
 func TestParityK1Async(t *testing.T) {
 	inputs := parityInputs(t, 9, 4, 3)
-	old, err := bvc.RunK1AsyncBVC(&bvc.AsyncConfig{N: 4, F: 1, D: 3, Inputs: inputs, Rounds: 3})
+	old, err := consensus.RunK1AsyncBVC(context.Background(), &consensus.AsyncConfig{N: 4, F: 1, D: 3, Inputs: inputs, Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestParityK1Async(t *testing.T) {
 func TestParityWithByzantine(t *testing.T) {
 	inputs := parityInputs(t, 10, 5, 2)
 	byz := map[int]bvc.ByzantineBehavior{0: bvc.Equivocator(bvc.NewVector(9, 9), bvc.NewVector(-9, -9))}
-	old, err := bvc.RunDeltaRelaxedBVC(&bvc.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: byz}, 2)
+	old, err := consensus.RunDeltaRelaxedBVC(context.Background(), &consensus.SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: byz}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,35 +215,67 @@ func TestParityWithByzantine(t *testing.T) {
 	checkFloats(t, "byzantine delta", old.Delta, res.Delta)
 }
 
+// TestParityDeltaStar pins ComputeDeltaStar to the kernel each norm
+// selects: the closed-form/cutting-plane δ*₂ solver, the exact LP for
+// p ∈ {1, ∞}, and the generic Lp solver otherwise.
 func TestParityDeltaStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	kernel := map[float64]func(*bvc.PointSet) (float64, bvc.Vector){
+		1: func(s *bvc.PointSet) (float64, bvc.Vector) { return relax.DeltaStarPoly(s, 1, 1) },
+		2: func(s *bvc.PointSet) (float64, bvc.Vector) {
+			r := minimax.DeltaStar2(s, 1)
+			return r.Delta, r.Point
+		},
+		3: func(s *bvc.PointSet) (float64, bvc.Vector) {
+			r := minimax.DeltaStarP(s, 1, 3)
+			return r.Delta, r.Point
+		},
+		bvc.LInf: func(s *bvc.PointSet) (float64, bvc.Vector) { return relax.DeltaStarPoly(s, 1, bvc.LInf) },
+	}
 	for _, p := range []float64{1, 2, 3, bvc.LInf} {
 		pts := make([]bvc.Vector, 6)
 		for i := range pts {
 			pts[i] = bvc.NewVector(rng.NormFloat64(), rng.NormFloat64())
 		}
 		s := bvc.NewPointSet(pts...)
-		oldD, oldPt := bvc.DeltaStar(s, 1, p)
-		newD, newPt, err := bvc.ComputeDeltaStar(s, 1, p)
+		bvc.SetCaching(false)
+		wantD, wantPt := kernel[p](s)
+		bvc.SetCaching(true)
+		gotD, gotPt, err := bvc.ComputeDeltaStar(s, 1, p)
 		if err != nil {
 			t.Fatalf("p=%v: %v", p, err)
 		}
-		if math.Float64bits(oldD) != math.Float64bits(newD) || !sameVec(oldPt, newPt) {
-			t.Errorf("p=%v: (%v, %v) vs (%v, %v)", p, oldD, oldPt, newD, newPt)
+		if math.Float64bits(wantD) != math.Float64bits(gotD) || !sameVec(wantPt, gotPt) {
+			t.Errorf("p=%v: kernel (%v, %v) vs ComputeDeltaStar (%v, %v)", p, wantD, wantPt, gotD, gotPt)
 		}
 	}
 }
 
 func TestComputeDeltaStarErrors(t *testing.T) {
 	s := bvc.NewPointSet(bvc.NewVector(0, 0), bvc.NewVector(1, 1), bvc.NewVector(2, 0))
-	if _, _, err := bvc.ComputeDeltaStar(nil, 1, 2); err == nil {
-		t.Error("nil set: want error")
+	cases := []struct {
+		name string
+		s    *bvc.PointSet
+		f    int
+		p    float64
+		want error
+	}{
+		{"nil set", nil, 1, 2, bvc.ErrBadInputs},
+		{"empty set", bvc.NewPointSet(), 1, 2, bvc.ErrBadInputs},
+		{"f=0", s, 0, 2, bvc.ErrTooManyFaults},
+		{"f=|S|", s, 3, 2, bvc.ErrTooManyFaults},
+		{"p=0", s, 1, 0, bvc.ErrBadNorm},
+		{"p=0.5", s, 1, 0.5, bvc.ErrBadNorm},
+		{"p=NaN", s, 1, math.NaN(), bvc.ErrBadNorm},
+		{"p=-Inf", s, 1, math.Inf(-1), bvc.ErrBadNorm},
 	}
-	if _, _, err := bvc.ComputeDeltaStar(s, 3, 2); err == nil {
-		t.Error("f = |S|: want error")
-	}
-	if _, _, err := bvc.ComputeDeltaStar(s, 1, 0.5); err == nil {
-		t.Error("p < 1: want error")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := bvc.ComputeDeltaStar(c.s, c.f, c.p)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("err = %v, want %v", err, c.want)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package relaxedbvc
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,21 +17,21 @@ func TestFacadeSyncALGO(t *testing.T) {
 		NewVector(0, 1, 0.3),
 		NewVector(0.1, 0, 1),
 	}
-	cfg := &SyncConfig{
-		N: 4, F: 1, D: 3,
+	spec := Spec{
+		N: 4, F: 1, D: 3, NormP: 2,
 		Inputs:    inputs,
 		Byzantine: map[int]ByzantineBehavior{3: Equivocator(NewVector(9, 9, 9), NewVector(-9, -9, -9))},
 	}
-	res, err := RunDeltaRelaxedBVC(cfg, 2)
+	res, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := cfg.HonestIDs()
+	honest := spec.HonestIDs()
 	if AgreementError(res.Outputs, honest) != 0 {
 		t.Fatal("agreement violated")
 	}
 	delta := res.Delta[honest[0]]
-	nf := cfg.NonFaultyInputs()
+	nf := spec.NonFaultyInputs()
 	for _, i := range honest {
 		if !CheckDeltaValidity(res.Outputs[i], nf, delta, 2, 1e-6) {
 			t.Fatal("delta validity violated")
@@ -45,19 +46,21 @@ func TestFacadeExactAndKRelaxed(t *testing.T) {
 	inputs := []Vector{
 		NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1), NewVector(0.5, 0.5),
 	}
-	cfg := &SyncConfig{N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: map[int]ByzantineBehavior{4: Silent()}}
-	if res, err := RunExactBVC(cfg); err != nil {
+	ctx := context.Background()
+	spec := Spec{Protocol: ProtocolExact, N: 5, F: 1, D: 2, Inputs: inputs, Byzantine: map[int]ByzantineBehavior{4: Silent()}}
+	if res, err := Run(ctx, spec); err != nil {
 		t.Fatal(err)
-	} else if !CheckExactValidity(res.Outputs[0], cfg.NonFaultyInputs(), 1e-6) {
+	} else if !CheckExactValidity(res.Outputs[0], spec.NonFaultyInputs(), 1e-6) {
 		t.Fatal("exact validity violated")
 	}
-	if res, err := RunKRelaxedBVC(cfg, 1); err != nil {
+	spec.Protocol, spec.K = ProtocolKRelaxed, 1
+	if res, err := Run(ctx, spec); err != nil {
 		t.Fatal(err)
-	} else if !CheckKValidity(res.Outputs[0], cfg.NonFaultyInputs(), 1, 1e-6) {
+	} else if !CheckKValidity(res.Outputs[0], spec.NonFaultyInputs(), 1, 1e-6) {
 		t.Fatal("1-relaxed validity violated")
 	}
-	if _, err := RunScalarConsensus(&SyncConfig{
-		N: 4, F: 1, D: 1,
+	if _, err := Run(ctx, Spec{
+		Protocol: ProtocolScalar, N: 4, F: 1, D: 1,
 		Inputs: []Vector{NewVector(1), NewVector(2), NewVector(3), NewVector(4)},
 	}); err != nil {
 		t.Fatal(err)
@@ -65,22 +68,22 @@ func TestFacadeExactAndKRelaxed(t *testing.T) {
 }
 
 func TestFacadeAsync(t *testing.T) {
-	cfg := &AsyncConfig{
-		N: 4, F: 1, D: 3,
+	spec := Spec{
+		Protocol: ProtocolAsync, N: 4, F: 1, D: 3,
 		Inputs: []Vector{
 			NewVector(0, 0, 0), NewVector(1, 0, 0), NewVector(0, 1, 0), NewVector(0, 0, 1),
 		},
 		Rounds: 8,
 		Mode:   ModeRelaxed,
-		Byzantine: map[int]*AsyncByzantine{
+		AsyncByzantine: map[int]*AsyncByzantine{
 			3: {Input: NewVector(2, 2, 2), SilentFrom: NeverMisbehave, CorruptFrom: NeverMisbehave},
 		},
 	}
-	res, err := RunAsyncBVC(cfg)
+	res, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eps := AgreementError(res.Outputs, cfg.HonestIDs()); eps > 0.1 {
+	if eps := AgreementError(res.Outputs, spec.HonestIDs()); eps > 0.1 {
 		t.Fatalf("epsilon = %v", eps)
 	}
 }
@@ -103,9 +106,9 @@ func TestFacadeGeometry(t *testing.T) {
 	if _, ok := GammaPoint(s, 1); ok {
 		t.Fatal("Gamma of a triangle with f=1 should be empty")
 	}
-	dstar, pt := DeltaStar(s, 1, 2)
-	if dstar <= 0 || pt.Dim() != 2 {
-		t.Fatalf("DeltaStar = %v, %v", dstar, pt)
+	dstar, pt, err := ComputeDeltaStar(s, 1, 2)
+	if err != nil || dstar <= 0 || pt.Dim() != 2 {
+		t.Fatalf("ComputeDeltaStar = %v, %v, %v", dstar, pt, err)
 	}
 	// delta* of a triangle with f=1 is its inradius.
 	want := (2 - math.Sqrt2) / 2 // inradius of right isoceles with legs 1
@@ -133,20 +136,16 @@ func TestFacadeBounds(t *testing.T) {
 	}
 }
 
-func TestFacadeDeltaStarPanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	DeltaStar(NewPointSet(NewVector(0), NewVector(1)), 1, 0.5)
-}
-
 func TestFacadeDeltaStarGeneralP(t *testing.T) {
 	s := NewPointSet(NewVector(0, 0), NewVector(1, 0), NewVector(0, 1))
-	d2, _ := DeltaStar(s, 1, 2)
-	d3, _ := DeltaStar(s, 1, 3)
-	dInf, _ := DeltaStar(s, 1, LInf)
+	var d [3]float64
+	for i, p := range []float64{2, 3, LInf} {
+		var err error
+		if d[i], _, err = ComputeDeltaStar(s, 1, p); err != nil {
+			t.Fatalf("p=%v: %v", p, err)
+		}
+	}
+	d2, d3, dInf := d[0], d[1], d[2]
 	// Monotone in p: delta*_inf <= delta*_3 <= delta*_2 (solver tolerance).
 	if dInf > d3+5e-3 || d3 > d2+5e-3 {
 		t.Fatalf("delta* ordering violated: inf=%v 3=%v 2=%v", dInf, d3, d2)
@@ -169,8 +168,9 @@ func TestFacadeByzantineConstructors(t *testing.T) {
 func TestFacadeSignedBroadcastAndSchedules(t *testing.T) {
 	// Footnote-3 configuration through the public API, with a trace.
 	rec := NewTraceRecorder(0)
-	cfg := &SyncConfig{
-		N: 3, F: 1, D: 2,
+	ctx := context.Background()
+	spec := Spec{
+		N: 3, F: 1, D: 2, NormP: 2,
 		Inputs:          []Vector{NewVector(1, 1), NewVector(1, 1), NewVector(0, 0)},
 		SignedBroadcast: true,
 		ByzantineSigned: map[int]SignedByzantineBehavior{
@@ -178,11 +178,11 @@ func TestFacadeSignedBroadcastAndSchedules(t *testing.T) {
 		},
 		Trace: rec.Hook(),
 	}
-	res, err := RunDeltaRelaxedBVC(cfg, 2)
+	res, err := Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AgreementError(res.Outputs, cfg.HonestIDs()) != 0 {
+	if AgreementError(res.Outputs, spec.HonestIDs()) != 0 {
 		t.Fatal("signed broadcast failed to give agreement at n=3")
 	}
 	if rec.Total() == 0 || rec.Total() != res.Messages {
@@ -190,43 +190,44 @@ func TestFacadeSignedBroadcastAndSchedules(t *testing.T) {
 	}
 	// Schedules construct and run.
 	for _, sch := range []Schedule{FIFOSchedule(), LIFOSchedule(), RandomSchedule(3), StarveSchedule(0)} {
-		acfg := &AsyncConfig{
-			N: 4, F: 1, D: 2,
+		aspec := Spec{
+			Protocol: ProtocolAsync, N: 4, F: 1, D: 2,
 			Inputs:   []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1)},
 			Rounds:   4,
 			Mode:     ModeRelaxed,
 			Schedule: sch,
 		}
-		if _, err := RunAsyncBVC(acfg); err != nil {
+		if _, err := Run(ctx, aspec); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 func TestFacadeIterativeAndK1Async(t *testing.T) {
-	icfg := &IterConfig{
-		N: 5, F: 1, D: 2,
+	ctx := context.Background()
+	ispec := Spec{
+		Protocol: ProtocolIterative, N: 5, F: 1, D: 2,
 		Inputs: []Vector{NewVector(0, 0), NewVector(1, 0), NewVector(0, 1), NewVector(1, 1), NewVector(2, 2)},
 		Rounds: 6,
-		Byzantine: map[int]IterByzantine{4: IterByzantineFunc(func(round, to int, _ Vector) Vector {
+		IterByzantine: map[int]IterByzantine{4: IterByzantineFunc(func(round, to int, _ Vector) Vector {
 			return NewVector(float64(round*to), -5)
 		})},
 	}
-	ires, err := RunIterativeBVC(icfg)
+	ires, err := Run(ctx, ispec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h := ires.RangeHistory; h[len(h)-1] > h[0]*0.1 {
 		t.Fatalf("no contraction: %v", h)
 	}
-	k1 := &AsyncConfig{
-		N: 4, F: 1, D: 4,
+	k1 := Spec{
+		Protocol: ProtocolK1Async, N: 4, F: 1, D: 4,
 		Inputs: []Vector{
 			NewVector(0, 0, 0, 0), NewVector(1, 0, 1, 0), NewVector(0, 1, 0, 1), NewVector(1, 1, 1, 1),
 		},
 		Rounds: 6,
 	}
-	kres, err := RunK1AsyncBVC(k1)
+	kres, err := Run(ctx, k1)
 	if err != nil {
 		t.Fatal(err)
 	}

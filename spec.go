@@ -3,7 +3,6 @@ package relaxedbvc
 // The unified front door of the library: one Spec describes any consensus
 // instance — protocol, system size, inputs, adversary, network — and
 // Run(ctx, spec) executes it with context cancellation and typed errors.
-// The per-protocol Run* functions remain as thin deprecated wrappers.
 
 import (
 	"context"
@@ -138,8 +137,9 @@ type Spec struct {
 
 	// K is the k-relaxation parameter (ProtocolKRelaxed; 1 <= K <= D).
 	K int
-	// NormP is the Lp norm of the relaxation: 1, 2 or LInf
-	// (ProtocolDeltaRelaxed, ProtocolAsync in ModeRelaxed). 0 means 2.
+	// NormP is the Lp norm of the relaxation; 0 means 2.
+	// ProtocolDeltaRelaxed and ProtocolAsync (ModeRelaxed) accept 1, 2
+	// or LInf; ProtocolACS accepts any p >= 1, like ComputeDeltaStar.
 	NormP float64
 	// Rounds is the round budget of the multi-round protocols
 	// (ProtocolIterative, ProtocolAsync, ProtocolK1Async).
@@ -419,7 +419,7 @@ func runSim(ctx context.Context, spec *Spec) (*Result, error) {
 	return res, nil
 }
 
-func fromSync(res *Result, sr *SyncResult) {
+func fromSync(res *Result, sr *consensus.SyncResult) {
 	res.Outputs = sr.Outputs
 	res.Delta = sr.Delta
 	res.AgreedSet = sr.AgreedSet
@@ -429,7 +429,7 @@ func fromSync(res *Result, sr *SyncResult) {
 	fillFaultMetrics(res.Metrics, sr.Faults)
 }
 
-func fromAsync(res *Result, ar *AsyncResult) {
+func fromAsync(res *Result, ar *consensus.AsyncResult) {
 	res.Outputs = ar.Outputs
 	res.Delta = ar.Delta
 	res.RoundSpread = ar.RoundSpread
@@ -448,11 +448,12 @@ func fillFaultMetrics(m *RunMetrics, fs sched.FaultStats) {
 }
 
 // ComputeDeltaStar returns delta*_p(S) — the smallest delta for which
-// Gamma_(delta,p)(S) is non-empty — with an attaining point. It is the
-// error-returning replacement for the deprecated DeltaStar, which panics
-// on invalid arguments. p = 1 and p = LInf are exact LPs; p = 2 uses the
-// Lemma 13 closed form or the L2 minimax solver; any other p > 1 uses the
-// generic iterative Lp minimax solver and returns a tight upper bound.
+// Gamma_(delta,p)(S) is non-empty — with an attaining point, for any
+// p >= 1 including LInf. p = 1 and p = LInf are exact LPs; p = 2 uses the
+// Lemma 13 closed form or the certified L2 cutting-plane solver; any
+// other p uses the generic iterative Lp minimax solver and returns a
+// tight upper bound. Invalid arguments return errors wrapping
+// ErrBadInputs, ErrTooManyFaults or ErrBadNorm.
 func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 	if s == nil || s.Len() == 0 {
 		return 0, nil, fmt.Errorf("%w: empty point set", ErrBadInputs)
@@ -460,18 +461,11 @@ func ComputeDeltaStar(s *PointSet, f int, p float64) (float64, Vector, error) {
 	if f < 1 || f >= s.Len() {
 		return 0, nil, fmt.Errorf("%w: need 1 <= f < |S|, got f=%d with |S|=%d", ErrTooManyFaults, f, s.Len())
 	}
-	switch {
-	case p == 2:
-		r := minimax.DeltaStar2(s, f)
-		return r.Delta, r.Point, nil
-	case p == 1 || p == LInf:
-		delta, pt := relax.DeltaStarPoly(s, f, p)
-		return delta, pt, nil
-	case p > 1:
-		r := minimax.DeltaStarP(s, f, p)
-		return r.Delta, r.Point, nil
+	if !(p >= 1) {
+		return 0, nil, fmt.Errorf("%w: p=%v (need p >= 1)", ErrBadNorm, p)
 	}
-	return 0, nil, fmt.Errorf("%w: p=%v (need p >= 1)", ErrBadNorm, p)
+	r := minimax.DeltaStar(s, f, p)
+	return r.Delta, r.Point, nil
 }
 
 // CacheCounters reports one kernel cache's hit/miss statistics.
